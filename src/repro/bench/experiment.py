@@ -152,7 +152,6 @@ def run_cell(
     memoize_fetches: bool = True,
     share_verifiers: bool = True,
     naive_sample_rate: float = 0.0,
-    parallel_fanout: int | None = None,
 ) -> CellResult:
     """Run the full strategy comparison for one peer count.
 
@@ -179,9 +178,6 @@ def run_cell(
     cell, not folded into the workload series) and consumes router RNG
     draws doing so — running it after the fixed strategies keeps their
     series bit-identical to an adaptive-free run.
-
-    ``parallel_fanout`` (>= 2) turns on the engine's intra-query thread
-    fan-out for per-peer delegate work; cost series are unaffected.
     """
     config = config if config is not None else StoreConfig()
     started = time.perf_counter()
@@ -223,20 +219,16 @@ def run_cell(
         memoize_fetches=memoize_fetches,
         share_verifiers=share_verifiers,
         naive_sample_rate=naive_sample_rate,
-        parallel_fanout=parallel_fanout,
     )
-    try:
-        fixed = [s for s in strategies if s is not SimilarityStrategy.ADAPTIVE]
-        for strategy in fixed:
-            network.tracer.reset()
-            ctx = engine.context(strategy=strategy)
-            result.by_strategy[strategy] = run_workload(
-                ctx, attribute, workload, strategy
-            )
-        if SimilarityStrategy.ADAPTIVE in strategies:
-            _run_adaptive(engine, attribute, workload, result)
-    finally:
-        engine.close()
+    fixed = [s for s in strategies if s is not SimilarityStrategy.ADAPTIVE]
+    for strategy in fixed:
+        network.tracer.reset()
+        ctx = engine.context(strategy=strategy)
+        result.by_strategy[strategy] = run_workload(
+            ctx, attribute, workload, strategy
+        )
+    if SimilarityStrategy.ADAPTIVE in strategies:
+        _run_adaptive(engine, attribute, workload, result)
     result.wall_seconds = time.perf_counter() - started
     result.total_entries = network.total_entries()
     result.stored_payload_bytes = network.total_payload_bytes()

@@ -110,9 +110,10 @@ def write_csv(path: str, result: SweepResult) -> None:
 #: Schema tag embedded in ``BENCH_fig1.json``.  v4 adds the per-dataset
 #: ``sweep_seconds`` (end-to-end sweep wall clock — under ``--jobs N``
 #: bounded by the slowest worker chunk, not the sum of cells) and the
-#: ``jobs``/``fanout`` scale fields; v3 added the ``adaptive`` strategy
-#: series plus the per-cell ``adaptive_stats_messages`` /
-#: ``adaptive_stats_bytes`` / ``adaptive_choices`` fields (the cost of
+#: ``jobs`` scale field plus the thread fan-out one (retired, always 0);
+#: v3 added the ``adaptive`` strategy series plus the per-cell
+#: ``adaptive_stats_messages`` / ``adaptive_stats_bytes`` /
+#: ``adaptive_choices`` fields (the cost of
 #: the one-off statistics walk and the cost model's strategy picks) —
 #: all additive; the v2 fields (``build_seconds``, ``naive_sampled``)
 #: and the v1 series fields are unchanged.

@@ -142,9 +142,6 @@ class SweepJob:
     memoize_fetches: bool = True
     share_verifiers: bool = True
     naive_sample_rate: float = 0.0
-    #: Intra-cell fan-out threads (``QueryEngine(parallel_fanout=...)``);
-    #: ``None`` keeps per-peer work serial inside each cell.
-    parallel_fanout: int | None = None
 
     @classmethod
     def from_dataset(
@@ -184,7 +181,6 @@ class SweepJob:
             memoize_fetches=self.memoize_fetches,
             share_verifiers=self.share_verifiers,
             naive_sample_rate=self.naive_sample_rate,
-            parallel_fanout=self.parallel_fanout,
         )
 
 
@@ -342,7 +338,6 @@ def sweep(
     share_verifiers: bool = True,
     naive_sample_rate: float = 0.0,
     jobs: int = 1,
-    parallel_fanout: int | None = None,
 ) -> SweepResult:
     """Run the strategy comparison across peer counts.
 
@@ -360,9 +355,8 @@ def sweep(
     series exact.
 
     ``jobs > 1`` dispatches cells to a :class:`ParallelSweepRunner`
-    process pool and ``parallel_fanout`` enables the intra-cell thread
-    fan-out; both change wall-clock only — every measured series is
-    bit-identical to the serial reference (property-tested).
+    process pool; that changes wall-clock only — every measured series
+    is bit-identical to the serial reference (property-tested).
 
     Including ``SimilarityStrategy.ADAPTIVE`` in ``strategies`` (e.g.
     :data:`~repro.bench.experiment.ALL_WITH_ADAPTIVE`) adds the
@@ -386,7 +380,6 @@ def sweep(
         memoize_fetches=memoize_fetches,
         share_verifiers=share_verifiers,
         naive_sample_rate=naive_sample_rate,
-        parallel_fanout=parallel_fanout,
     )
     if jobs > 1:
         return ParallelSweepRunner(jobs).run([job], progress)[0]

@@ -45,14 +45,13 @@ from __future__ import annotations
 import random
 from collections.abc import Iterable, Sequence
 from contextlib import contextmanager
-
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 from repro.core.config import RankFunction, SimilarityStrategy, StoreConfig
 from repro.core.errors import ConfigError
 from repro.core.stats import QueryStats
 from repro.overlay.churn import ChurnController, ChurnReport
-from repro.overlay.fanout import FanOutExecutor
 from repro.overlay.faults import FaultInjector, FaultMode, FaultPlan, RetryPolicy
 from repro.overlay.messages import CostReport, MessageTracer
 from repro.overlay.network import PGridNetwork
@@ -78,12 +77,9 @@ from repro.similarity.kernels import EditKernel, resolve_kernel
 from repro.similarity.verify import DEFAULT_POOL_LIMIT, VerifierPool
 from repro.storage.triple import Triple, ValueType
 
-if True:  # deferred import target for type checkers
-    from typing import TYPE_CHECKING
-
-    if TYPE_CHECKING:  # pragma: no cover
-        from repro.bench.latency import LatencyModel
-        from repro.query.statistics import StatisticsCatalog
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.bench.latency import LatencyModel
+    from repro.query.statistics import StatisticsCatalog
 
 
 @dataclass
@@ -143,16 +139,6 @@ class QueryEngine:
     naive_sample_rate:
         Default sampled-broadcast estimator rate for contexts built by
         this engine (0 = exact).
-    parallel_fanout:
-        Thread count (>= 2) for the intra-query fan-out: per-peer
-        delegate work (gram-peer candidate scans, naive region
-        comparisons, broadcast query copies) runs on a
-        :class:`~repro.overlay.fanout.FanOutExecutor` owned by this
-        engine, with charges merged deterministically so every measured
-        series stays bit-identical to the serial reference path.
-        ``None``/``0``/``1`` (the default) keeps everything serial.
-        Engines with a fan-out installed should be :meth:`close`\\ d (or
-        used as context managers) to release the pool's threads.
     memo_maintenance:
         What a mutation routed through the engine's write path
         (:meth:`insert`, :meth:`delete`, :meth:`recover`) does to the
@@ -181,7 +167,6 @@ class QueryEngine:
         memoize_fetches: bool | None = None,
         share_verifiers: bool = True,
         naive_sample_rate: float = 0.0,
-        parallel_fanout: int | None = None,
         memo_maintenance: str = "delta",
         edit_kernel: EditKernel | str | None = None,
         verifier_pool_limit: int | None = None,
@@ -221,11 +206,6 @@ class QueryEngine:
                 ),
             )
             if share_verifiers
-            else None
-        )
-        self.fanout = (
-            FanOutExecutor(parallel_fanout)
-            if parallel_fanout is not None and parallel_fanout > 1
             else None
         )
         self.cost_model = StrategyCostModel(network, latency_model)
@@ -317,26 +297,7 @@ class QueryEngine:
             fetch_memo=self.fetch_memo,
             catalog=catalog,
             cost_model=self.cost_model,
-            fanout=self.fanout,
         )
-
-    # -- lifecycle ----------------------------------------------------------------
-
-    def close(self) -> None:
-        """Release owned resources (the fan-out thread pool); idempotent.
-
-        Engines without a fan-out installed hold no threads, so calling
-        this is optional for them — but harness code that may enable
-        ``parallel_fanout`` should always close (or use ``with``).
-        """
-        if self.fanout is not None:
-            self.fanout.shutdown()
-
-    def __enter__(self) -> "QueryEngine":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
 
     # -- memo lifecycle -----------------------------------------------------------
 
@@ -548,15 +509,9 @@ class QueryEngine:
         strategy decisions (with predicted and measured cost) ride on
         ``result.cost.decisions``.
         """
-        self.check_mutations()
-        session = self._begin_fault_session()
-        verifier_before = self._verifier_snapshot()
-        result = self.executor.execute_text(text, initiator_id)
-        result.cost.verifier = self._verifier_delta(verifier_before)
-        if session is not None:
-            result.cost.completeness = session.completeness()
-        self._last_cost = result.cost
-        self.stats.record(result.cost)
+        with self.recorded():
+            result = self.executor.execute_text(text, initiator_id)
+        result.cost = self._last_cost
         return result
 
     def analyze(

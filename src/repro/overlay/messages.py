@@ -76,7 +76,6 @@ class MessageTracer:
         self.payload_bytes = 0
         self.counts_by_type: Counter[str] = Counter()
         self.counts_by_phase: Counter[str] = Counter()
-        self.bytes_by_phase: Counter[str] = Counter()
         self.record_log = record_log
         self.log: list[Message] = []
 
@@ -93,7 +92,6 @@ class MessageTracer:
         self.payload_bytes += payload_bytes
         self.counts_by_type[type.value] += 1
         self.counts_by_phase[phase] += 1
-        self.bytes_by_phase[phase] += payload_bytes
         if self.record_log:
             self.log.append(Message(type, sender, receiver, payload_bytes, phase))
 
@@ -122,25 +120,6 @@ class MessageTracer:
         self.payload_bytes += payload_bytes
         self.counts_by_type[type.value] += count
         self.counts_by_phase[phase] += count
-        self.bytes_by_phase[phase] += payload_bytes
-
-    def merge(self, other: "MessageTracer") -> None:
-        """Fold another tracer's charges into this one.
-
-        The deterministic-merge half of the intra-cell fan-out
-        (:class:`repro.overlay.fanout.FanOutExecutor`): worker units
-        charge private scratch tracers, and the owner merges them in a
-        stable order — counters add, and the verbose log (when kept)
-        appends in merge order, so a fanned-out flow reproduces the
-        serial loop's ledger byte for byte.
-        """
-        self.message_count += other.message_count
-        self.payload_bytes += other.payload_bytes
-        self.counts_by_type.update(other.counts_by_type)
-        self.counts_by_phase.update(other.counts_by_phase)
-        self.bytes_by_phase.update(other.bytes_by_phase)
-        if self.record_log and other.log:
-            self.log.extend(other.log)
 
     def snapshot(self) -> TraceSnapshot:
         """Copy of the current counters."""
@@ -157,7 +136,6 @@ class MessageTracer:
         self.payload_bytes = 0
         self.counts_by_type.clear()
         self.counts_by_phase.clear()
-        self.bytes_by_phase.clear()
         self.log.clear()
 
 

@@ -471,13 +471,22 @@ class PGridNetwork:
         return [len(peer.store) for peer in self.peers]
 
     def random_peer_id(self, rng: random.Random | None = None) -> int:
-        """Uniformly random online peer id (query initiators)."""
+        """Uniformly random online peer id (query initiators).
+
+        Probes ``2 * n_peers`` random ids first (the draws every healthy
+        measured series was taken with), then falls back to a uniform
+        choice among the online peers, so a mostly-offline network still
+        yields an initiator.  Raises only when no peer is online.
+        """
         chooser = rng if rng is not None else self.rng
         for __ in range(self.n_peers * 2):
             candidate = chooser.randrange(self.n_peers)
             if self.peers[candidate].online:
                 return candidate
-        raise OverlayError("could not find an online peer")
+        online = [index for index, peer in enumerate(self.peers) if peer.online]
+        if not online:
+            raise OverlayError("could not find an online peer")
+        return chooser.choice(online)
 
     def total_entries(self) -> int:
         """Total index entries across all peers (replicas counted)."""

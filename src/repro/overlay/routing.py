@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import random
 from collections import defaultdict
-from collections.abc import Callable, Iterable, Sequence
+from collections.abc import Iterable, Sequence
 from typing import TYPE_CHECKING
 
 from repro.core.errors import PartitionUnreachableError, RoutingError
@@ -47,7 +47,6 @@ from repro.overlay.peer import Peer
 from repro.storage.indexing import IndexEntry
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.overlay.fanout import FanOutExecutor
     from repro.overlay.network import PGridNetwork
 
 #: Safety bound on routing hops; a correct trie never gets close.
@@ -305,43 +304,6 @@ class Router:
         return self._send_direct(
             MessageType.BROADCAST, sender, receiver, payload_bytes, phase
         )
-
-    def send_broadcast_fanout(
-        self,
-        sender: int,
-        peers: Sequence[Peer],
-        payload_bytes_for: "Callable[[Peer], int]",
-        fanout: "FanOutExecutor",
-        phase: str = "broadcast",
-    ) -> None:
-        """Charge one broadcast query copy per peer, fanned out on threads.
-
-        The parallel counterpart of a ``send_broadcast`` loop: each copy
-        is charged on a private scratch tracer and the scratches merge
-        into the real tracer in the given (stable) peer order, so the
-        resulting counters and verbose log are byte-identical to the
-        serial loop.  Healthy transport only — per-copy retry/failover
-        consumes RNG and must stay on the caller's thread, so an active
-        fault injector is a caller bug, not a silent fallback.
-        """
-        if self.faults_active():
-            raise RoutingError(
-                "send_broadcast_fanout requires a healthy transport; "
-                "use send_broadcast_failover under an active fault plan"
-            )
-
-        def copy_task(peer: Peer) -> "Callable[[MessageTracer], None]":
-            payload = payload_bytes_for(peer)
-
-            def task(scratch: MessageTracer) -> None:
-                scratch.send(
-                    MessageType.BROADCAST, sender, peer.peer_id, payload,
-                    phase=phase,
-                )
-
-            return task
-
-        fanout.run_traced(self.tracer, [copy_task(peer) for peer in peers])
 
     # -- fault-aware delivery ----------------------------------------------------
 

@@ -37,7 +37,6 @@ from repro.storage.indexing import EntryKind
 from repro.storage.triple import Triple, ValueType
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.overlay.fanout import FanOutExecutor
     from repro.query.cost import StrategyCostModel, StrategyDecision
     from repro.query.operators.naive import NaiveWorkloadMemo
     from repro.query.operators.similar import GramScanMemo
@@ -123,13 +122,6 @@ class OperatorContext:
     #: The executor and the workload runner attach slices of this log to
     #: the corresponding :class:`~repro.overlay.messages.CostReport`.
     decision_log: list = field(default_factory=list)
-    #: Intra-query fan-out executor (see
-    #: :class:`repro.overlay.fanout.FanOutExecutor`): per-peer delegate
-    #: work — region comparisons, gram posting scans, broadcast query
-    #: copies — runs on its thread pool with deterministic merging.
-    #: ``None`` (the default) keeps the serial reference path; measured
-    #: series are bit-identical either way (property-tested).
-    fanout: "FanOutExecutor | None" = None
 
     def __post_init__(self) -> None:
         if self.strategy is None:

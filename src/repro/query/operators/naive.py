@@ -225,20 +225,11 @@ def naive_similar(
                 reached.append(receiver)
         peers = reached
     elif tracer.record_log:
-        if ctx.fanout is not None:
-            ctx.router.send_broadcast_fanout(
-                initiator_id,
-                peers,
-                lambda peer: QUERY_HEADER_BYTES + len(s),
-                ctx.fanout,
+        for peer in peers:
+            ctx.router.send_broadcast(
+                initiator_id, peer.peer_id, QUERY_HEADER_BYTES + len(s),
                 phase="broadcast",
             )
-        else:
-            for peer in peers:
-                ctx.router.send_broadcast(
-                    initiator_id, peer.peer_id, QUERY_HEADER_BYTES + len(s),
-                    phase="broadcast",
-                )
     else:
         tracer.send_bulk(
             MessageType.BROADCAST,
@@ -265,7 +256,6 @@ def naive_similar(
         comparison = _compare_region(
             contacted, s, attribute, band, schema_level, region_prefix,
             _region_verifier(ctx, s, d, band, verifier),
-            fanout=None if faulty else ctx.fanout,
         )
         if memo is not None:
             memo.store(memo_key, comparison)
@@ -341,7 +331,6 @@ def _compare_region(
     schema_level: bool,
     region_prefix: str,
     verifier: BatchVerifier | None,
-    fanout=None,
 ) -> RegionComparison:
     """Compare ``s`` against every contacted peer's local strings.
 
@@ -350,17 +339,15 @@ def _compare_region(
     attribute's key region — and one region-wide pass through the batched
     verifier shares DP work across every repeated value.  ``verifier``,
     when given, must have been built for ``(s, band)``.
-
-    With a :class:`~repro.overlay.fanout.FanOutExecutor` installed, the
-    per-peer store scans (pure compute: no tracer charges, no RNG, one
-    unit per peer store) run on the thread pool in contacted order; the
-    shared verifier pass stays on the caller's thread either way.
     """
     if verifier is None:
         verifier = BatchVerifier(s, band)
 
-    def scan_peer(item) -> tuple[int, int, list[tuple[str, str]]]:
-        peer, partition_index = item
+    compared_by_partition: list[tuple[int, list[tuple[str, str]]]] = []
+    store_versions: dict[int, int] = {}
+    local_comparisons = 0
+    max_peer_comparisons = 0
+    for peer, partition_index in contacted:
         compared: list[tuple[str, str]] = []
         local_entries = (
             peer.store.entries_of_kind(EntryKind.ATTR_VALUE)
@@ -374,19 +361,7 @@ def _compare_region(
             if candidate is None:
                 continue
             compared.append((entry.triple.oid, candidate))
-        return partition_index, peer.store.version, compared
-
-    if fanout is not None:
-        scans = fanout.map_ordered(scan_peer, contacted)
-    else:
-        scans = [scan_peer(item) for item in contacted]
-
-    compared_by_partition: list[tuple[int, list[tuple[str, str]]]] = []
-    store_versions: dict[int, int] = {}
-    local_comparisons = 0
-    max_peer_comparisons = 0
-    for partition_index, store_version, compared in scans:
-        store_versions[partition_index] = store_version
+        store_versions[partition_index] = peer.store.version
         local_comparisons += len(compared)
         max_peer_comparisons = max(max_peer_comparisons, len(compared))
         compared_by_partition.append((partition_index, compared))
@@ -502,7 +477,6 @@ def _sampled_naive_similar(
         comparison = _compare_region(
             sampled, s, attribute, band, schema_level, region_prefix,
             _region_verifier(ctx, s, d, band, verifier),
-            fanout=ctx.fanout,
         )
         if memo is not None:
             memo.store(memo_key, comparison)

@@ -86,11 +86,12 @@ class GramScanMemo:
     cached scan records the store's mutation counter and is recomputed
     when the contacted replica reports any other version.
 
-    Thread-safe for the intra-query fan-out: cache probes, inserts and
-    counters are guarded by a lock, while the posting scan itself runs
-    outside it (pure and deterministic — a racing duplicate compute is
-    benign, and within one fanned-out batch distinct peers carry
-    distinct partition signatures, so the hit/miss tallies stay exact).
+    Cache probes, inserts, invalidations and counters are guarded by a
+    lock, so the memo stays consistent when one engine is driven from
+    more than one thread (a service reads its counters on the event
+    loop while the engine thread runs queries).  The posting scan runs
+    outside the lock: it is pure, so a racing duplicate compute would
+    be benign.
     """
 
     def __init__(self, network):
@@ -205,9 +206,8 @@ def _gram_candidates(
 ) -> set[str]:
     """One gram peer's step-3 scan: the oids it would delegate at ``d``.
 
-    Pure per-peer work (read-only store scans, no tracer charges, no RNG
-    draws) — the unit the intra-query fan-out dispatches to its thread
-    pool, and the body the serial reference loop runs inline.
+    Pure per-peer work: read-only store scans, no tracer charges, no RNG
+    draws.
     """
     candidate_oids: set[str] = set()
     partition_index = (
@@ -304,30 +304,11 @@ def similar(
     # workload memo installed, each (partition, key, occurrences) posting
     # scan is computed once and every later distance replays a bisect.
     scan_memo = ctx.gram_scan_memo
-    peer_groups = sorted(contacted.items())
-
-    # Fan-out mode: prescan every gram peer's candidates on the thread
-    # pool (pure compute, stable peer-id order) before the serial
-    # delegate/fetch/verify loop consumes them.  Disabled under an
-    # *active* fault plan, where a lost delegation legitimately skips the
-    # peer's scan; the serial inline scan is the reference path.
-    fanout = ctx.fanout
-    if fanout is not None and not ctx.router.faults_active():
-        prescanned = fanout.map_ordered(
-            lambda group: _gram_candidates(
-                ctx, ctx.network.peer(group[0]), group[1], gram_keys,
-                attribute, schema_level, d, scan_memo,
-            ),
-            peer_groups,
-        )
-    else:
-        prescanned = None
-
     matches: dict[str, MatchedObject] = {}
     seen_partitions: set[tuple[int, str]] = set()
     all_delegated: set[str] = set()
     delegated_total = 0
-    for group_index, (peer_id, keys) in enumerate(peer_groups):
+    for peer_id, keys in sorted(contacted.items()):
         peer = ctx.network.peer(peer_id)
         if not ctx.router.send_delegate(
             initiator_id,
@@ -340,13 +321,9 @@ def similar(
             # peer never scans, so its keys contribute no candidates.
             ctx.router.record_dropped_candidates(len(keys))
             continue
-        if prescanned is not None:
-            candidate_oids = prescanned[group_index]
-        else:
-            candidate_oids = _gram_candidates(
-                ctx, peer, keys, gram_keys, attribute, schema_level, d,
-                scan_memo,
-            )
+        candidate_oids = _gram_candidates(
+            ctx, peer, keys, gram_keys, attribute, schema_level, d, scan_memo
+        )
         if not candidate_oids:
             continue
         result.candidates_after_filters += len(candidate_oids)

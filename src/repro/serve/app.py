@@ -144,11 +144,10 @@ Handler = Callable[[Request], Awaitable[Response]]
 
 
 class QueryService:
-    """The engine behind a service boundary; owns the engine's lifecycle.
+    """The engine behind a service boundary, run on one engine thread.
 
-    The service closes its engine on :meth:`close` (releasing fan-out
-    threads and the service's own executor), so server entry points get
-    leak-free shutdown by construction::
+    The service shuts that thread's executor down on :meth:`close`, so
+    server entry points get leak-free shutdown by construction::
 
         with QueryService(engine) as service:
             ...  # await service.handle(request)
@@ -186,12 +185,11 @@ class QueryService:
     # -- lifecycle ----------------------------------------------------------------
 
     def close(self) -> None:
-        """Shut down the executor and the engine; idempotent."""
+        """Shut down the engine executor; idempotent."""
         if self._closed:
             return
         self._closed = True
         self._pool.shutdown(wait=True)
-        self.engine.close()
 
     def __enter__(self) -> "QueryService":
         return self
@@ -304,17 +302,11 @@ class QueryService:
         value = body.get("value")
         if not isinstance(value, (str, int, float)) or isinstance(value, bool):
             raise BadRequest("'value' must be a string or a number")
-        ticket, rejection = self._admit(POINT_QUERY_PREDICTED_MESSAGES)
-        if rejection is not None:
-            return rejection
-        started = time.perf_counter()
-        try:
-            matches = await self._run(self.engine.select, attribute, value)
-            return self._query_response(
-                {"matches": [_match_dict(m) for m in matches]}
-            )
-        finally:
-            ticket.finish(time.perf_counter() - started)
+        return await self._serve_query(
+            POINT_QUERY_PREDICTED_MESSAGES,
+            lambda matches: {"matches": [_match_dict(m) for m in matches]},
+            self.engine.select, attribute, value,
+        )
 
     async def handle_similar(self, request: Request) -> Response:
         body = request.json()
@@ -322,35 +314,24 @@ class QueryService:
         attribute = _field_str(body, "attribute")
         d = _field_int(body, "d", minimum=0)
         strategy = _parse_strategy(body)
-        ticket, rejection = self._admit(
-            self._predict_messages(search, attribute, d, strategy)
-        )
-        if rejection is not None:
-            return rejection
-        started = time.perf_counter()
-        try:
-            result = await self._run(
-                self.engine.similar, search, attribute, d, strategy
-            )
+
+        def render(result) -> dict:
             self._tally(strategy)
-            return self._query_response(
-                {
-                    "matches": [_match_dict(m) for m in result.matches],
-                    "diagnostics": {
-                        "grams_looked_up": result.grams_looked_up,
-                        "candidates_verified": result.candidates_verified,
-                    },
-                }
-            )
-        finally:
-            ticket.finish(time.perf_counter() - started)
+            return {
+                "matches": [_match_dict(m) for m in result.matches],
+                "diagnostics": {
+                    "grams_looked_up": result.grams_looked_up,
+                    "candidates_verified": result.candidates_verified,
+                },
+            }
+
+        return await self._serve_query(
+            self._predict_messages(search, attribute, d, strategy),
+            render, self.engine.similar, search, attribute, d, strategy,
+        )
 
     async def handle_top_n(self, request: Request) -> Response:
         params = self._top_n_params(request)
-        ticket, rejection = self._admit(params["predicted"])
-        if rejection is not None:
-            return rejection
-        started = time.perf_counter()
         engine = self.engine
 
         def run_top_n():
@@ -365,17 +346,14 @@ class QueryService:
                     strategy=params["strategy"],
                 )
 
-        try:
-            result = await self._run(run_top_n)
+        def render(result) -> dict:
             self._tally(params["strategy"])
-            return self._query_response(
-                {
-                    "matches": [_match_dict(m) for m in result.matches],
-                    "rounds": result.rounds,
-                }
-            )
-        finally:
-            ticket.finish(time.perf_counter() - started)
+            return {
+                "matches": [_match_dict(m) for m in result.matches],
+                "rounds": result.rounds,
+            }
+
+        return await self._serve_query(params["predicted"], render, run_top_n)
 
     async def handle_top_n_stream(self, request: Request) -> Response:
         """Chunked NDJSON top-N: one line per match, in final rank order.
@@ -461,20 +439,37 @@ class QueryService:
         initiator = body.get("initiator")
         if initiator is not None and not isinstance(initiator, int):
             raise BadRequest("'initiator' must be an integer peer id")
-        ticket, rejection = self._admit(POINT_QUERY_PREDICTED_MESSAGES)
-        if rejection is not None:
-            return rejection
-        started = time.perf_counter()
-        try:
-            result = await self._run(self.engine.query, text, initiator)
-            return self._query_response(
-                {"rows": [dict(row) for row in result.rows]},
-                cost=result.cost,
-            )
-        finally:
-            ticket.finish(time.perf_counter() - started)
+        return await self._serve_query(
+            POINT_QUERY_PREDICTED_MESSAGES,
+            lambda result: {"rows": [dict(row) for row in result.rows]},
+            self.engine.query, text, initiator,
+        )
 
     # -- shared plumbing -----------------------------------------------------------
+
+    async def _serve_query(
+        self,
+        predicted_messages: float,
+        render: Callable[[object], dict],
+        fn: Callable,
+        *args,
+    ) -> Response:
+        """The one unary query skeleton: admit, run, render, finish.
+
+        ``fn(*args)`` runs on the engine thread through :meth:`_run`;
+        ``render`` turns its result into the response payload, which
+        gets the operation's cost attached.  The admission ticket is
+        released with the request's wall time whether the operation
+        answers or raises.
+        """
+        decision = self.admission.admit(predicted_messages)
+        if not decision.admitted:
+            return _rejection(decision)
+        started = time.perf_counter()
+        try:
+            return self._query_response(render(await self._run(fn, *args)))
+        finally:
+            decision.ticket.finish(time.perf_counter() - started)
 
     def _top_n_params(self, request: Request) -> dict:
         body = request.json()
@@ -526,25 +521,15 @@ class QueryService:
             1.0, min(p.messages for p in predictions.values())
         )
 
-    def _admit(
-        self, predicted_messages: float
-    ) -> tuple[Ticket | None, Response | None]:
-        decision = self.admission.admit(predicted_messages)
-        if not decision.admitted:
-            return None, _rejection(decision)
-        return decision.ticket, None
-
     def _tally(self, strategy: SimilarityStrategy | None) -> None:
         resolved = strategy or self.engine.ctx.strategy
         self.strategy_tally[
             resolved.value if resolved is not None else "default"
         ] += 1
 
-    def _query_response(
-        self, payload: dict, cost=None
-    ) -> Response:
+    def _query_response(self, payload: dict) -> Response:
         """Attach cost + completeness; degraded partial answers are 206."""
-        cost = cost if cost is not None else self.engine.last_cost()
+        cost = self.engine.last_cost()
         payload["cost"] = _cost_dict(cost)
         if cost.decisions:
             payload["decisions"] = [_decision_dict(d) for d in cost.decisions]

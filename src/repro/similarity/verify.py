@@ -321,10 +321,11 @@ class VerifierPool:
     ``evictions`` count pool traffic, and every verifier shares one
     :class:`KernelCounters`, so kernel-level totals survive eviction.
 
-    :meth:`get` is thread-safe (the engine shares one pool across every
-    operator context, and contexts may run fanned-out per-peer work);
-    the *returned* :class:`BatchVerifier` is not — verification passes
-    stay on the caller's thread, as the fan-out contract requires.
+    :meth:`get`, :meth:`memo_entries` and :meth:`stats` take a lock: a
+    service reads :meth:`stats` on its event-loop thread while the
+    engine thread draws and evicts verifiers.  The *returned*
+    :class:`BatchVerifier` is not thread-safe — each verification pass
+    runs on the one thread that drew it.
     """
 
     __slots__ = (

@@ -18,7 +18,7 @@ class TestMessageTracer:
         tracer.send(MessageType.RESULT, 2, 0, 50, phase="oid_lookup")
         assert tracer.counts_by_type["route"] == 2
         assert tracer.counts_by_phase["gram_lookup"] == 2
-        assert tracer.bytes_by_phase["oid_lookup"] == 50
+        assert tracer.counts_by_phase["oid_lookup"] == 1
 
     def test_log_disabled_by_default(self):
         tracer = MessageTracer()

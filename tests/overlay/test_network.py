@@ -1,5 +1,7 @@
 """Unit tests for network construction and data placement."""
 
+import random
+
 import pytest
 
 from repro.core.config import StoreConfig, TrieBalancing
@@ -151,3 +153,33 @@ class TestOracles:
         finally:
             for peer in network.peers:
                 peer.online = True
+
+    def test_random_peer_id_falls_back_after_bounded_probe(self):
+        class OfflineProbes(random.Random):
+            """Every probe lands on peer 1; ``choice`` stays uniform."""
+
+            def randrange(self, *args, **kwargs):
+                return 1
+
+        network = build_word_network(n_peers=16)
+        network.peers[1].online = False
+        network.peers[7].online = False
+        online = {p.peer_id for p in network.peers if p.online}
+        chooser = OfflineProbes(3)
+        picks = {network.random_peer_id(chooser) for __ in range(40)}
+        assert picks <= online
+        assert len(picks) > 1
+
+    def test_random_peer_id_raises_when_none_online(self):
+        network = build_word_network(n_peers=8)
+        for peer in network.peers:
+            peer.online = False
+        with pytest.raises(OverlayError):
+            network.random_peer_id(random.Random(0))
+
+    def test_random_peer_id_healthy_draws_unchanged(self):
+        network = build_word_network(n_peers=16)
+        reference = random.Random(11)
+        chooser = random.Random(11)
+        drawn = [network.random_peer_id(chooser) for __ in range(25)]
+        assert drawn == [reference.randrange(16) for __ in range(25)]

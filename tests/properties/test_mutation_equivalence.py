@@ -81,10 +81,6 @@ class MutationEquivalence(RuleBasedStateMachine):
         self.counter = 0
         self.live_batches: list[tuple[Triple, ...]] = []
 
-    def teardown(self):
-        for engine in getattr(self, "engines", ()):
-            engine.close()
-
     # -- ops ----------------------------------------------------------------------
 
     @rule(

@@ -5,7 +5,7 @@ every stored item reachable — the invariant behind Algorithm 1's
 termination/correctness argument.
 """
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.core.config import StoreConfig
 from repro.core.errors import OverlayError
@@ -37,6 +37,13 @@ class TestMembershipInvariants:
         st.integers(min_value=2, max_value=12),
         st.lists(st.booleans(), max_size=12),  # True = join, False = leave
         st.integers(0, 3),
+    )
+    # Only 2 of 6 peers end up online: the initiator draw must still
+    # find one instead of giving up after a bounded number of probes.
+    @example(
+        n_peers=2,
+        actions=[True, False, True, True, False, True, False, False],
+        seed=2,
     )
     def test_cover_and_reachability_survive_churn(self, n_peers, actions, seed):
         network = build(WORDS, n_peers, seed)

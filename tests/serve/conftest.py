@@ -3,8 +3,8 @@
 Everything is built on a small, fully deterministic corpus of words with
 known near-neighbours (``serve_utils.WORDS``) so similarity answers can
 be asserted exactly.  The ``service_factory`` fixture hands out services
-and closes every engine it built at teardown, so leaked fan-out threads
-or executors fail the suite loudly.
+and closes every service it built at teardown, so leaked engine
+executors fail the suite loudly.
 """
 
 from __future__ import annotations

@@ -195,3 +195,67 @@ class TestServiceAdmission:
 
         run(scenario())
         assert service.admission.inflight == 0
+
+
+UNARY_REQUESTS = {
+    "exact": ("/query/exact", {"attribute": ATTRIBUTE, "value": "overlay"}),
+    "similar": (
+        "/query/similar",
+        {"search": "adaptor", "attribute": ATTRIBUTE, "d": 1},
+    ),
+    "topn": ("/query/topn", {"attribute": ATTRIBUTE, "search": "adapte", "n": 2}),
+    "vql": (
+        "/query/vql",
+        {"text": f"SELECT ?w WHERE {{ (?o,{ATTRIBUTE},?w) }} LIMIT 3"},
+    ),
+}
+
+
+class TestUnaryHandlerSkeleton:
+    """Every unary query endpoint shares one admit/run/finish skeleton."""
+
+    @pytest.mark.parametrize("kind", sorted(UNARY_REQUESTS))
+    def test_slot_released_after_answer(self, service_factory, kind):
+        service = service_factory(config=ServiceConfig(max_inflight=1))
+        path, payload = UNARY_REQUESTS[kind]
+        response = run(service.handle(post(path, payload)))
+        assert response.status == 200
+        assert response.payload["cost"]["messages"] > 0
+        assert service.admission.admitted_total == 1
+        assert service.admission.completed_total == 1
+        assert service.admission.inflight == 0
+
+    @pytest.mark.parametrize("kind", sorted(UNARY_REQUESTS))
+    def test_rejected_at_capacity_without_engine_work(
+        self, service_factory, kind
+    ):
+        service = service_factory(config=ServiceConfig(max_inflight=1))
+        path, payload = UNARY_REQUESTS[kind]
+
+        async def scenario():
+            stream_response = await service.handle(post(
+                "/query/topn/stream",
+                {"attribute": ATTRIBUTE, "search": "adapte", "n": 3},
+            ))
+            queries_before = service.engine.stats.queries
+            rejected = await service.handle(post(path, payload))
+            assert rejected.status == 429
+            assert rejected.payload["reason"] == "capacity"
+            assert service.engine.stats.queries == queries_before
+            async for __ in stream_response.stream:
+                pass
+
+        run(scenario())
+        assert service.admission.rejected_capacity == 1
+        assert service.admission.inflight == 0
+
+    def test_slot_released_when_operation_raises(self, service_factory):
+        service = service_factory(config=ServiceConfig(max_inflight=1))
+        response = run(service.handle(post(
+            "/query/vql", {"text": "SELECT ?w WHERE {"},
+        )))
+        assert response.status == 422
+        assert service.admission.completed_total == 1
+        assert service.admission.inflight == 0
+        retried = run(service.handle(post(*UNARY_REQUESTS["exact"])))
+        assert retried.status == 200

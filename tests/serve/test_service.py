@@ -243,12 +243,13 @@ class TestDegradedResponses:
 class TestLifecycle:
     def test_close_is_idempotent_and_closes_engine(self, service_factory):
         service = service_factory()
-        fanout_engine = service.engine
+        engine = service.engine
         service.close()
         service.close()
-        # The engine's executor is gone: a fresh handle() would need it,
+        # The engine executor is gone: a fresh handle() would need it,
         # but the engine object itself stays readable.
-        assert fanout_engine.n_peers == 32
+        assert service._pool._shutdown
+        assert engine.n_peers == 32
 
     def test_context_manager_closes(self, service_factory):
         with service_factory() as service:

@@ -3,7 +3,9 @@
 import pytest
 
 from repro.core.config import SimilarityStrategy, StoreConfig
+from repro.core.errors import PartitionUnreachableError
 from repro.engine import QueryEngine
+from repro.overlay.faults import FaultPlan
 from repro.storage.triple import Triple
 
 from tests.conftest import LEN_ATTR, TEXT_ATTR, WORDS, word_triples
@@ -182,6 +184,46 @@ class TestLedger:
         engine.query(f"SELECT ?w WHERE {{ (?o,{TEXT_ATTR},?w) }} LIMIT 2")
         assert engine.stats.queries == before + 2
         assert engine.stats.messages > 0
+
+    def test_query_cost_is_the_recorded_cost(self, engine):
+        text = (
+            f"SELECT ?w WHERE {{ (?o,{TEXT_ATTR},?w) "
+            "FILTER (dist(?w,'apple') <= 1) }"
+        )
+        twin = QueryEngine.build(32, word_triples(), StoreConfig(seed=7))
+        result = engine.query(text)
+        direct = twin.executor.execute_text(text)
+        assert result.cost is engine.last_cost()
+        assert result.rows == direct.rows
+        assert (
+            result.cost.messages,
+            result.cost.payload_bytes,
+            result.cost.by_phase,
+        ) == (
+            direct.cost.messages,
+            direct.cost.payload_bytes,
+            direct.cost.by_phase,
+        )
+
+    def test_failed_query_is_recorded_once(self):
+        engine = QueryEngine.build(
+            32,
+            word_triples(),
+            StoreConfig(seed=7, replication=3),
+            strategy="strings",
+        )
+        engine.install_faults(FaultPlan.lossy(0.01, seed=5), mode="strict")
+        region = engine.network.partitions_under(
+            engine.network.codec.attr_prefix(TEXT_ATTR)
+        )
+        engine.fail_peers(list(region[0].peer_ids), protect_partitions=False)
+        before = engine.stats.queries
+        with pytest.raises(PartitionUnreachableError):
+            engine.query(
+                f"SELECT ?w WHERE {{ (?o,{TEXT_ATTR},?w) "
+                "FILTER (dist(?w,'apple') <= 1) }"
+            )
+        assert engine.stats.queries == before + 1
 
     def test_explain_does_not_execute(self, engine):
         before = engine.network.tracer.message_count
