@@ -147,10 +147,7 @@ def run_cell(
     workload: Sequence[WorkloadQuery] | None = None,
     prepared: PreparedDataset | None = None,
     builder: IncrementalNetworkBuilder | None = None,
-    memoize_naive: bool = True,
-    memoize_gram_scans: bool = True,
-    memoize_fetches: bool = True,
-    share_verifiers: bool = True,
+    memoize: bool = True,
     naive_sample_rate: float = 0.0,
 ) -> CellResult:
     """Run the full strategy comparison for one peer count.
@@ -163,12 +160,10 @@ def run_cell(
 
     All cell wiring — the whole-workload memos, the shared verifier
     pool, the cost model behind the adaptive replay — comes from one
-    :class:`~repro.engine.QueryEngine`; ``memoize_naive`` /
-    ``memoize_gram_scans`` / ``memoize_fetches`` / ``share_verifiers``
-    toggle its parts individually (each
-    acceleration is sound here because the cell's stores are static once
-    loaded, and cost-transparent — identical message/byte series — by
-    construction).  ``naive_sample_rate`` > 0 opts into the
+    :class:`~repro.engine.QueryEngine`; ``memoize=False`` runs the cell
+    memo-free (the memos are sound here because the cell's stores are
+    static once loaded, and cost-transparent — identical message/byte
+    series — by construction).  ``naive_sample_rate`` > 0 opts into the
     sampled-broadcast estimator; the default 0 keeps every naive series
     exact.
 
@@ -213,12 +208,7 @@ def run_cell(
     # filled.  Sharing changes wall-clock only, never a match set or a
     # message (pinned by tests).
     engine = QueryEngine(
-        network,
-        memoize_naive=memoize_naive,
-        memoize_gram_scans=memoize_gram_scans,
-        memoize_fetches=memoize_fetches,
-        share_verifiers=share_verifiers,
-        naive_sample_rate=naive_sample_rate,
+        network, memoize=memoize, naive_sample_rate=naive_sample_rate
     )
     fixed = [s for s in strategies if s is not SimilarityStrategy.ADAPTIVE]
     for strategy in fixed:

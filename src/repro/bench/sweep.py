@@ -137,10 +137,6 @@ class SweepJob:
     repetitions: int = 40
     strategies: tuple[SimilarityStrategy, ...] = ALL_STRATEGIES
     check_equivalence: bool = False
-    memoize_naive: bool = True
-    memoize_gram_scans: bool = True
-    memoize_fetches: bool = True
-    share_verifiers: bool = True
     naive_sample_rate: float = 0.0
 
     @classmethod
@@ -176,10 +172,6 @@ class SweepJob:
             strategies=self.strategies,
             prepared=self.prepared,
             builder=builder,
-            memoize_naive=self.memoize_naive,
-            memoize_gram_scans=self.memoize_gram_scans,
-            memoize_fetches=self.memoize_fetches,
-            share_verifiers=self.share_verifiers,
             naive_sample_rate=self.naive_sample_rate,
         )
 
@@ -332,10 +324,6 @@ def sweep(
     strategies: Sequence[SimilarityStrategy] = ALL_STRATEGIES,
     progress: Callable[[str], None] | None = None,
     check_equivalence: bool | None = None,
-    memoize_naive: bool = True,
-    memoize_gram_scans: bool = True,
-    memoize_fetches: bool = True,
-    share_verifiers: bool = True,
     naive_sample_rate: float = 0.0,
     jobs: int = 1,
 ) -> SweepResult:
@@ -344,10 +332,10 @@ def sweep(
     Entry derivation and the data-aware trie sample happen once, up
     front (:class:`PreparedDataset`); each cell's network is then grown
     by an incremental builder, and each cell's workload runs with the
-    three cost-transparent accelerations (naive region memo, gram-scan
-    memo, shared verifier pool) — each individually disableable so an
-    acceleration can be validated against its own unaccelerated
-    baseline.  ``check_equivalence`` (default: the ``REPRO_SWEEP_CHECK``
+    engine's cost-transparent accelerations (the workload memos and the
+    shared verifier pool; :func:`~repro.bench.experiment.run_cell`
+    with ``memoize=False`` is their memo-free reference).
+    ``check_equivalence`` (default: the ``REPRO_SWEEP_CHECK``
     environment variable) re-builds every cell from scratch and asserts
     the incremental network is identical.  ``naive_sample_rate`` > 0
     opts into the sampled-broadcast estimator for the naive strategy
@@ -375,10 +363,6 @@ def sweep(
         repetitions=repetitions,
         strategies=tuple(strategies),
         check_equivalence=check_equivalence,
-        memoize_naive=memoize_naive,
-        memoize_gram_scans=memoize_gram_scans,
-        memoize_fetches=memoize_fetches,
-        share_verifiers=share_verifiers,
         naive_sample_rate=naive_sample_rate,
     )
     if jobs > 1:

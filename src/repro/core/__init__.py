@@ -1,4 +1,4 @@
-"""Core package: configuration, errors, statistics, and the public facade."""
+"""Core package: configuration, errors and statistics."""
 
 from repro.core.config import (
     RankFunction,

@@ -34,10 +34,6 @@ engine snapshots the network-wide mutation token (the sum of every
 re-checks it on every recorded operation; any change drops all memos at
 once.  The memos additionally carry per-entry version checks, so even a
 mutation slipping between checks can never replay stale data.
-
-:class:`repro.core.store.VerticalStore` — the facade of earlier PRs —
-subclasses this engine, adding only the record/relation insert helpers,
-so existing code keeps working unchanged.
 """
 
 from __future__ import annotations
@@ -78,7 +74,6 @@ from repro.similarity.verify import DEFAULT_POOL_LIMIT, VerifierPool
 from repro.storage.triple import Triple, ValueType
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.bench.latency import LatencyModel
     from repro.query.statistics import StatisticsCatalog
 
 
@@ -115,14 +110,10 @@ class QueryEngine:
     catalog:
         A pre-collected statistics catalog; usually left ``None`` and
         filled via :meth:`analyze`.
-    latency_model:
-        Cost constants for the latency leg of predictions.
     memoize:
-        Master switch for the three whole-workload memos; the
-        ``memoize_*`` keywords override it individually (the benchmark
-        ablations need that).
-    share_verifiers:
-        Install a shared :class:`~repro.similarity.verify.VerifierPool`.
+        Install the three whole-workload memos (naive region compares,
+        gram scans, object fetches); ``False`` gives the memo-free
+        reference engine the equivalence checks compare against.
     edit_kernel:
         Edit-distance kernel for the final verification step — an
         :class:`~repro.similarity.kernels.EditKernel` instance, a name
@@ -160,12 +151,7 @@ class QueryEngine:
         network: PGridNetwork,
         strategy: SimilarityStrategy | str | None = None,
         catalog: "StatisticsCatalog | None" = None,
-        latency_model: "LatencyModel | None" = None,
         memoize: bool = True,
-        memoize_naive: bool | None = None,
-        memoize_gram_scans: bool | None = None,
-        memoize_fetches: bool | None = None,
-        share_verifiers: bool = True,
         naive_sample_rate: float = 0.0,
         memo_maintenance: str = "delta",
         edit_kernel: EditKernel | str | None = None,
@@ -182,33 +168,19 @@ class QueryEngine:
         self._churn: ChurnController | None = None
         if isinstance(strategy, str):
             strategy = SimilarityStrategy.from_name(strategy)
-
-        def flag(override: bool | None) -> bool:
-            return memoize if override is None else override
-
-        self.naive_memo = (
-            NaiveWorkloadMemo(network) if flag(memoize_naive) else None
-        )
-        self.gram_scan_memo = (
-            GramScanMemo(network) if flag(memoize_gram_scans) else None
-        )
-        self.fetch_memo = (
-            FetchObjectsMemo(network) if flag(memoize_fetches) else None
-        )
+        self.naive_memo = NaiveWorkloadMemo(network) if memoize else None
+        self.gram_scan_memo = GramScanMemo(network) if memoize else None
+        self.fetch_memo = FetchObjectsMemo(network) if memoize else None
         self.edit_kernel = resolve_kernel(edit_kernel)
-        self.verifier_pool = (
-            VerifierPool(
-                kernel=self.edit_kernel,
-                max_verifiers=(
-                    verifier_pool_limit
-                    if verifier_pool_limit is not None
-                    else DEFAULT_POOL_LIMIT
-                ),
-            )
-            if share_verifiers
-            else None
+        self.verifier_pool = VerifierPool(
+            kernel=self.edit_kernel,
+            max_verifiers=(
+                verifier_pool_limit
+                if verifier_pool_limit is not None
+                else DEFAULT_POOL_LIMIT
+            ),
         )
-        self.cost_model = StrategyCostModel(network, latency_model)
+        self.cost_model = StrategyCostModel(network)
         self.naive_sample_rate = naive_sample_rate
         self._filters = FilterConfig(
             use_position=self.config.enable_position_filter,
@@ -672,23 +644,13 @@ class QueryEngine:
     def verifier_stats(self) -> dict[str, object]:
         """Kernel identity plus shared-pool counters (``/stats`` payload).
 
-        Engines built with ``share_verifiers=False`` still report the
-        kernel; pool traffic and kernel counters need the shared pool.
+        ``shared_pool`` is always true (every engine installs the pool);
+        the key stays for API stability.
         """
-        if self.verifier_pool is None:
-            return {"kernel": self.edit_kernel.name, "shared_pool": False}
         return {"shared_pool": True, **self.verifier_pool.stats()}
 
-    def _verifier_snapshot(self) -> dict[str, int] | None:
-        pool = self.verifier_pool
-        return pool.counters.as_dict() if pool is not None else None
-
-    def _verifier_delta(
-        self, before: dict[str, int] | None
-    ) -> dict[str, object] | None:
-        """Kernel-counter delta for one recorded operation, or ``None``."""
-        if before is None:
-            return None
+    def _verifier_delta(self, before: dict[str, int]) -> dict[str, object]:
+        """Kernel-counter delta for one recorded operation."""
         after = self.verifier_pool.counters.as_dict()
         delta: dict[str, object] = {
             key: after[key] - before[key] for key in after
@@ -724,7 +686,7 @@ class QueryEngine:
         self.check_mutations()
         session = self._begin_fault_session()
         before = self.network.tracer.snapshot()
-        verifier_before = self._verifier_snapshot()
+        verifier_before = self.verifier_pool.counters.as_dict()
         decision_mark = len(self.ctx.decision_log)
         try:
             yield

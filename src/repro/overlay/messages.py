@@ -28,17 +28,6 @@ class MessageType(enum.Enum):
     BROADCAST = "broadcast"  # naive strategy: full query to region peers
 
 
-@dataclass(frozen=True, slots=True)
-class Message:
-    """One simulated network message (kept only when tracing verbosely)."""
-
-    type: MessageType
-    sender: int
-    receiver: int
-    payload_bytes: int
-    phase: str
-
-
 @dataclass
 class TraceSnapshot:
     """Immutable copy of a tracer's counters (for before/after deltas)."""
@@ -65,19 +54,13 @@ class TraceSnapshot:
 
 
 class MessageTracer:
-    """Counts every simulated message and its payload size.
+    """Counts every simulated message and its payload size."""
 
-    ``record_log=True`` additionally retains full :class:`Message` records —
-    useful in tests, prohibitive in 10⁵-peer sweeps.
-    """
-
-    def __init__(self, record_log: bool = False):
+    def __init__(self):
         self.message_count = 0
         self.payload_bytes = 0
         self.counts_by_type: Counter[str] = Counter()
         self.counts_by_phase: Counter[str] = Counter()
-        self.record_log = record_log
-        self.log: list[Message] = []
 
     def send(
         self,
@@ -92,8 +75,6 @@ class MessageTracer:
         self.payload_bytes += payload_bytes
         self.counts_by_type[type.value] += 1
         self.counts_by_phase[phase] += 1
-        if self.record_log:
-            self.log.append(Message(type, sender, receiver, payload_bytes, phase))
 
     def send_bulk(
         self,
@@ -105,12 +86,10 @@ class MessageTracer:
         """Account for ``count`` messages totalling ``payload_bytes`` at once.
 
         O(1) accounting for flows whose per-message loop is itself the
-        cost being avoided — the sampled naive-broadcast estimator charges
-        its extrapolated message counts here instead of iterating 10⁵
-        peers.  Bulk charges are *not* appended to the verbose
-        ``record_log`` (there are no per-message sender/receiver pairs to
-        record); counters and per-phase totals update exactly as ``count``
-        individual :meth:`send` calls would.
+        cost being avoided — shower forwards, naive broadcast copies, and
+        the sampled naive-broadcast estimator's extrapolated counts
+        (instead of iterating 10⁵ peers).  Counters and per-phase totals
+        update exactly as ``count`` individual :meth:`send` calls would.
         """
         if count < 0:
             raise ValueError(f"bulk message count must be >= 0, got {count}")
@@ -136,7 +115,6 @@ class MessageTracer:
         self.payload_bytes = 0
         self.counts_by_type.clear()
         self.counts_by_phase.clear()
-        self.log.clear()
 
 
 @dataclass
@@ -168,8 +146,8 @@ class CostReport:
     #: dependency-free) with the kernel name and the operation's delta of
     #: the shared pool's :class:`~repro.similarity.verify.KernelCounters`
     #: (``computed``, ``memo_hits``, ``prefilter_rejected``,
-    #: ``batches_flat``, ``batches_shared``).  ``None`` when the engine
-    #: runs without a shared verifier pool.  Kernels change wall-clock
+    #: ``batches_flat``, ``batches_shared``).  ``None`` for costs not
+    #: recorded through the engine.  Kernels change wall-clock
     #: only, so nothing here ever feeds back into measured series.
     verifier: dict | None = None
 

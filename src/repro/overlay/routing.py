@@ -129,12 +129,13 @@ class Router:
         partition — dissemination reuses the trie's internal references,
         so no partition is contacted twice.
 
-        When the tracer keeps no verbose log, the forwards are
-        bulk-charged (identical counters) and unreplicated partitions
+        The forwards are bulk-charged (the same counters as one
+        ``send`` per forward), and unreplicated partitions
         skip the replica shuffle — ``random.shuffle`` of a one-element
-        list consumes no RNG draws, so the fast path's draw sequence is
-        identical to the logged path's.  Naive broadcasts at paper scale
-        touch every partition per query; this loop is their floor.
+        list consumes no RNG draws, so the draw sequence matches picking
+        every replica through :meth:`_live_replica`.  Naive broadcasts at
+        paper scale touch every partition per query; this loop is their
+        floor.
         """
         network = self.network
         partitions = network.partitions_under(prefix)
@@ -145,36 +146,26 @@ class Router:
             return self._multicast_prefix_faulty(partitions, start_id, phase)
         first = self.route(partitions[0].path, start_id, phase=phase)
         contacted = [first]
-        if not self.tracer.record_log:
-            peers = network.peers
-            first_id = first.peer_id
-            for partition in partitions:
-                peer_ids = partition.peer_ids
-                if first_id in peer_ids:
-                    continue
-                if len(peer_ids) == 1:
-                    replica = peers[peer_ids[0]]
-                    if not replica.online:
-                        raise PartitionUnreachableError(
-                            f"partition {partition.path!r} has no online replica",
-                            partition_index=partition.index,
-                            partition_path=partition.path,
-                        )
-                else:
-                    replica = self._live_replica(partition)
-                contacted.append(replica)
-            self.tracer.send_bulk(
-                MessageType.FORWARD, len(contacted) - 1, 0, phase=phase
-            )
-            return contacted
+        peers = network.peers
+        first_id = first.peer_id
         for partition in partitions:
-            if partition.contains(first.peer_id):
+            peer_ids = partition.peer_ids
+            if first_id in peer_ids:
                 continue
-            replica = self._live_replica(partition)
-            self.tracer.send(
-                MessageType.FORWARD, contacted[-1].peer_id, replica.peer_id, phase=phase
-            )
+            if len(peer_ids) == 1:
+                replica = peers[peer_ids[0]]
+                if not replica.online:
+                    raise PartitionUnreachableError(
+                        f"partition {partition.path!r} has no online replica",
+                        partition_index=partition.index,
+                        partition_path=partition.path,
+                    )
+            else:
+                replica = self._live_replica(partition)
             contacted.append(replica)
+        self.tracer.send_bulk(
+            MessageType.FORWARD, len(contacted) - 1, 0, phase=phase
+        )
         return contacted
 
     def _multicast_prefix_faulty(
@@ -297,14 +288,6 @@ class Router:
             MessageType.DELEGATE, sender, receiver, payload_bytes, phase
         )
 
-    def send_broadcast(
-        self, sender: int, receiver: int, payload_bytes: int, phase: str = "broadcast"
-    ) -> bool:
-        """Charge one naive-strategy broadcast message; False if dropped."""
-        return self._send_direct(
-            MessageType.BROADCAST, sender, receiver, payload_bytes, phase
-        )
-
     # -- fault-aware delivery ----------------------------------------------------
 
     def faults_active(self) -> bool:
@@ -377,7 +360,7 @@ class Router:
         payload_bytes: int,
         phase: str,
     ) -> bool:
-        """One point-to-point message (result/delegate/broadcast).
+        """One point-to-point message (result/delegate).
 
         Healthy path: a single tracer charge, always delivered.  Under
         an active injector the delivery is retried like any other; an
@@ -409,8 +392,8 @@ class Router:
     ) -> Peer | None:
         """Deliver one broadcast query copy, failing over to replicas.
 
-        Active faults only (callers use :meth:`send_broadcast` on the
-        healthy path).  Returns the replica that finally received the
+        Active faults only (the healthy path bulk-charges every copy on
+        the tracer).  Returns the replica that finally received the
         copy; when the whole partition is unreachable, ``DEGRADED``
         records it dark and returns ``None`` while ``STRICT`` raises.
         """

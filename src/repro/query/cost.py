@@ -11,7 +11,7 @@ summaries that remark calls for; this module consumes them:
   physical strategy would spend — from the overlay's structure (region
   size, expected routing depth), the collected
   :class:`~repro.query.statistics.StatisticsCatalog`, and the latency
-  constants of :mod:`repro.bench.latency`;
+  constants below;
 * :meth:`StrategyCostModel.choose` resolves
   ``SimilarityStrategy.ADAPTIVE`` into a concrete strategy and returns a
   :class:`StrategyDecision` recording every prediction; the operator
@@ -28,6 +28,20 @@ lookups — which these formulas capture by construction.  Without a
 catalog (or for attributes never analyzed) all data-dependent terms fall
 back to zero and the decision degrades to the structural comparison:
 region size versus gram fan-out, still a sane default.
+
+The latency leg is the library's one model of query response time (the
+paper measures only messages and bandwidth).  It makes Section 6's
+remark — the naive strategy's message counts hide "the enormous effort
+incurred by comparing the strings at the peers locally" — quantitative:
+
+* network time — messages travel hop by hop and contacted peers work in
+  parallel, so the critical path is ``(routing depth + dissemination
+  depth + 1 return) * HOP_LATENCY_MS``;
+* compute time — the busiest peer's local comparisons, each costing
+  ``COMPARISON_COST_US`` for a banded edit-distance check.
+
+The absolute constants are arbitrary; what matters is the *ratio* between
+strategies.
 """
 
 from __future__ import annotations
@@ -41,7 +55,6 @@ from repro.core.errors import ExecutionError
 from repro.storage.qgrams import positional_qgrams, qgram_sample
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guards
-    from repro.bench.latency import LatencyModel
     from repro.overlay.network import PGridNetwork
     from repro.query.statistics import StatisticsCatalog
 
@@ -67,6 +80,23 @@ TRIPLE_OVERHEAD_BYTES = 16
 
 #: Triples per object assumed when no better information exists.
 TRIPLES_PER_OBJECT = 2.0
+
+#: Latency of one overlay hop (wide-area median).
+HOP_LATENCY_MS = 50.0
+
+#: Cost of one banded edit-distance comparison at a peer.
+COMPARISON_COST_US = 20.0
+
+
+def network_time_ms(n_partitions: int, dissemination_depth: int) -> float:
+    """Critical path of routing + parallel dissemination + return."""
+    routing_depth = 0.5 * math.log2(max(2, n_partitions))
+    return (routing_depth + dissemination_depth + 1) * HOP_LATENCY_MS
+
+
+def compute_time_ms(max_peer_comparisons: int) -> float:
+    """Local comparison time at the busiest peer."""
+    return max_peer_comparisons * COMPARISON_COST_US / 1000.0
 
 
 @dataclass(frozen=True)
@@ -134,22 +164,13 @@ class StrategyDecision:
 class StrategyCostModel:
     """Per-strategy cost predictions over one network.
 
-    The model is stateless apart from the network handle and the latency
-    constants; the statistics catalog is passed per call so a freshly
-    ``analyze``-d catalog is always the one consulted.
+    The model is stateless apart from the network handle; the statistics
+    catalog is passed per call so a freshly ``analyze``-d catalog is
+    always the one consulted.
     """
 
-    def __init__(
-        self,
-        network: "PGridNetwork",
-        latency_model: "LatencyModel | None" = None,
-    ):
+    def __init__(self, network: "PGridNetwork"):
         self.network = network
-        if latency_model is None:
-            from repro.bench.latency import LatencyModel
-
-            latency_model = LatencyModel()
-        self.latency_model = latency_model
 
     # -- structural expectations -----------------------------------------------
 
@@ -305,12 +326,9 @@ class StrategyCostModel:
         # Replica-aware rows: only reachable partitions' rows take part.
         rows = (stats.row_count if stats is not None else 0) * reach
         per_peer = rows / region if region else 0.0
-        latency = (
-            self.latency_model.network_time_ms(
-                self.network.n_partitions, math.ceil(math.log2(max(2, region)))
-            )
-            + self.latency_model.compute_time_ms(int(per_peer))
-        )
+        latency = network_time_ms(
+            self.network.n_partitions, math.ceil(math.log2(max(2, region)))
+        ) + compute_time_ms(int(per_peer))
         return CostPrediction(
             SimilarityStrategy.NAIVE, messages, payload, latency
         )
@@ -363,12 +381,9 @@ class StrategyCostModel:
             )
         dissemination = math.ceil(math.log2(max(2, gram_partitions))) + 1
         per_peer = candidates / gram_partitions if gram_partitions else 0.0
-        latency = (
-            self.latency_model.network_time_ms(
-                self.network.n_partitions, dissemination
-            )
-            + self.latency_model.compute_time_ms(math.ceil(per_peer))
-        )
+        latency = network_time_ms(
+            self.network.n_partitions, dissemination
+        ) + compute_time_ms(math.ceil(per_peer))
         return CostPrediction(strategy, messages, payload, latency)
 
     @staticmethod

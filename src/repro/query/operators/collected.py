@@ -40,7 +40,6 @@ from repro.query.operators.similar import (
 )
 from repro.similarity.filters import CountFilter
 from repro.similarity.verify import BatchVerifier
-from repro.storage.qgrams import count_filter_threshold
 
 
 def similar_collected(
@@ -164,8 +163,3 @@ def similar_collected(
             matches.append(match)
     result.matches = sorted(matches, key=lambda m: (m.distance, m.oid))
     return result
-
-
-def count_filter_applicable(query_length: int, q: int, d: int) -> bool:
-    """True when the count bound can prune anything for this query."""
-    return count_filter_threshold(query_length, query_length, q, d) > 1

@@ -208,7 +208,6 @@ def naive_similar(
         )
 
     # Broadcast the query into the region (routed entry + shower forwards).
-    tracer = ctx.router.tracer
     peers = ctx.router.multicast_prefix(
         region_prefix, initiator_id, phase="broadcast"
     )
@@ -224,14 +223,8 @@ def naive_similar(
             if receiver is not None:
                 reached.append(receiver)
         peers = reached
-    elif tracer.record_log:
-        for peer in peers:
-            ctx.router.send_broadcast(
-                initiator_id, peer.peer_id, QUERY_HEADER_BYTES + len(s),
-                phase="broadcast",
-            )
     else:
-        tracer.send_bulk(
+        ctx.router.tracer.send_bulk(
             MessageType.BROADCAST,
             len(peers),
             len(peers) * (QUERY_HEADER_BYTES + len(s)),

@@ -58,7 +58,6 @@ class SimilarResult:
     candidates_after_filters: int = 0
     candidates_verified: int = 0
     gram_partitions_contacted: int = 0
-    duplicate_delegations: int = 0
     extras: dict[str, int] = field(default_factory=dict)
 
 
@@ -306,8 +305,6 @@ def similar(
     scan_memo = ctx.gram_scan_memo
     matches: dict[str, MatchedObject] = {}
     seen_partitions: set[tuple[int, str]] = set()
-    all_delegated: set[str] = set()
-    delegated_total = 0
     for peer_id, keys in sorted(contacted.items()):
         peer = ctx.network.peer(peer_id)
         if not ctx.router.send_delegate(
@@ -327,8 +324,6 @@ def similar(
         if not candidate_oids:
             continue
         result.candidates_after_filters += len(candidate_oids)
-        delegated_total += len(candidate_oids)
-        all_delegated.update(candidate_oids)
         objects = ctx.fetch_objects(
             candidate_oids,
             delegating_peer_id=peer_id,
@@ -356,7 +351,6 @@ def similar(
             result.candidates_verified += 1
             if match is not None:
                 matches[oid] = match
-    result.duplicate_delegations = delegated_total - len(all_delegated)
     result.matches = sorted(matches.values(), key=lambda m: (m.distance, m.oid))
     return result
 

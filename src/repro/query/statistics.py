@@ -174,7 +174,6 @@ class StatisticsCatalog:
     """Per-attribute statistics, keyed by qualified attribute name."""
 
     by_attribute: dict[str, AttributeStatistics] = field(default_factory=dict)
-    sampled_fraction: float = 1.0
 
     def get(self, attribute: str) -> AttributeStatistics | None:
         return self.by_attribute.get(attribute)

@@ -1,5 +1,7 @@
 """Unit tests for message accounting."""
 
+import pytest
+
 from repro.overlay.messages import CostReport, MessageTracer, MessageType
 
 
@@ -20,27 +22,35 @@ class TestMessageTracer:
         assert tracer.counts_by_phase["gram_lookup"] == 2
         assert tracer.counts_by_phase["oid_lookup"] == 1
 
-    def test_log_disabled_by_default(self):
-        tracer = MessageTracer()
-        tracer.send(MessageType.ROUTE, 0, 1)
-        assert tracer.log == []
-
-    def test_log_recorded_when_enabled(self):
-        tracer = MessageTracer(record_log=True)
-        tracer.send(MessageType.FORWARD, 3, 4, 7, phase="range")
-        assert len(tracer.log) == 1
-        message = tracer.log[0]
-        assert (message.sender, message.receiver) == (3, 4)
-        assert message.payload_bytes == 7
-
     def test_reset(self):
-        tracer = MessageTracer(record_log=True)
+        tracer = MessageTracer()
         tracer.send(MessageType.ROUTE, 0, 1, 5)
         tracer.reset()
         assert tracer.message_count == 0
         assert tracer.payload_bytes == 0
         assert not tracer.counts_by_type
-        assert tracer.log == []
+
+
+class TestSendBulk:
+    def test_matches_individual_sends(self):
+        bulk = MessageTracer()
+        bulk.send_bulk(MessageType.BROADCAST, 3, 90, phase="broadcast")
+        single = MessageTracer()
+        for __ in range(3):
+            single.send(MessageType.BROADCAST, 0, 1, 30, phase="broadcast")
+        assert bulk.snapshot() == single.snapshot()
+
+    def test_zero_count_charges_nothing(self):
+        tracer = MessageTracer()
+        tracer.send_bulk(MessageType.FORWARD, 0, phase="shower")
+        assert tracer.snapshot() == MessageTracer().snapshot()
+        assert "shower" not in tracer.counts_by_phase
+
+    def test_negative_count_rejected(self):
+        tracer = MessageTracer()
+        with pytest.raises(ValueError):
+            tracer.send_bulk(MessageType.FORWARD, -1)
+        assert tracer.message_count == 0
 
 
 class TestSnapshots:

@@ -86,6 +86,62 @@ class TestMulticast:
         forwards = network.tracer.counts_by_type["forward"]
         assert forwards == network.n_partitions - 1
 
+    def test_forwards_charged_to_phase_without_payload(self, network):
+        network.tracer.reset()
+        network.router.multicast_prefix("", 0, phase="shower")
+        tracer = network.tracer
+        assert tracer.counts_by_phase["shower"] == tracer.message_count
+        assert tracer.counts_by_type["forward"] == network.n_partitions - 1
+        assert tracer.payload_bytes == 0
+
+    def test_attribute_prefix_contacts_only_its_partitions(self, network):
+        prefix = network.codec.attr_prefix(TEXT_ATTR)
+        peers = network.router.multicast_prefix(prefix, 0)
+        contacted = [network.partition_for(p.path).index for p in peers]
+        expected = {p.index for p in network.partitions_under(prefix)}
+        assert len(contacted) == len(expected)
+        assert set(contacted) == expected
+
+    def test_replica_picks_match_live_replica_draws(self):
+        """Each replicated partition's copy goes to ``_live_replica``'s pick."""
+        network = build_word_network(
+            n_peers=33, config=StoreConfig(seed=9, replication=3)
+        )
+        router = network.router
+        state = router.rng.getstate()
+        peers = router.multicast_prefix("", 5)
+        router.rng.setstate(state)
+        partitions = network.partitions_under("")
+        first = router.route(partitions[0].path, 5, phase="multicast")
+        expected = [first] + [
+            router._live_replica(partition)
+            for partition in partitions
+            if not partition.contains(first.peer_id)
+        ]
+        assert [p.peer_id for p in peers] == [p.peer_id for p in expected]
+        assert router.rng.getstate() != state
+
+    def test_unreplicated_partitions_draw_nothing(self):
+        """Single-replica partitions leave the router RNG where routing left it."""
+        network = build_word_network(n_peers=32, config=StoreConfig(seed=9))
+        router = network.router
+        state = router.rng.getstate()
+        router.multicast_prefix("", 3)
+        after_multicast = router.rng.getstate()
+        router.rng.setstate(state)
+        router.route(network.partitions_under("")[0].path, 3)
+        assert after_multicast == router.rng.getstate()
+
+    def test_offline_unreplicated_partition_raises(self):
+        network = build_word_network(n_peers=16, config=StoreConfig(seed=9))
+        partitions = network.partitions_under("")
+        start = partitions[0].peer_ids[0]
+        dark = partitions[-1]
+        network.peer(dark.peer_ids[0]).online = False
+        with pytest.raises(PartitionUnreachableError) as raised:
+            network.router.multicast_prefix("", start)
+        assert raised.value.partition_index == dark.index
+
 
 class TestRouteMany:
     def test_batches_by_partition(self, network):

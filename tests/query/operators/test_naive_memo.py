@@ -113,7 +113,7 @@ class TestNaiveWorkloadMemo:
         for memoize in (False, True):
             cells[memoize] = run_cell(
                 triples, TEXT_ATTR, strings, 48,
-                config=config, workload=workload, memoize_naive=memoize,
+                config=config, workload=workload, memoize=memoize,
             )
         for strategy in cells[True].by_strategy:
             plain = cells[False].by_strategy[strategy]

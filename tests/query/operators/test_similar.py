@@ -95,6 +95,26 @@ class TestCostCharacteristics:
         assert result.gram_partitions_contacted > 0
         assert result.candidates_after_filters >= len(result.matches)
 
+    def test_naive_extras_present(self, ctx):
+        naive = similar(
+            ctx, "apple", TEXT_ATTR, 1, strategy=SimilarityStrategy.NAIVE
+        )
+        assert naive.extras["region_peers"] > 0
+        assert naive.extras["max_peer_comparisons"] > 0
+        assert (
+            naive.extras["max_peer_comparisons"] <= naive.candidates_verified
+        )
+
+    def test_naive_broadcast_one_copy_per_region_partition(self, ctx):
+        before = ctx.network.tracer.snapshot()
+        naive = similar(
+            ctx, "apple", TEXT_ATTR, 1, strategy=SimilarityStrategy.NAIVE
+        )
+        delta = before.delta(ctx.network.tracer.snapshot())
+        region = ctx.network.partitions_under(ctx.codec.attr_prefix(TEXT_ATTR))
+        assert naive.extras["region_peers"] == len(region)
+        assert delta.by_type["broadcast"] == len(region)
+
     def test_messages_charged(self, ctx):
         ctx.network.tracer.reset()
         similar(ctx, "apple", TEXT_ATTR, 1)

@@ -4,12 +4,18 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.config import SimilarityStrategy, StoreConfig
+from repro.datasets.bible import TEXT_ATTRIBUTE, bible_triples
+from repro.engine import QueryEngine
 from repro.overlay.network import PGridNetwork
 from repro.query.cost import (
     CANDIDATE_STRATEGIES,
+    COMPARISON_COST_US,
+    HOP_LATENCY_MS,
     CostPrediction,
     StrategyCostModel,
     StrategyDecision,
+    compute_time_ms,
+    network_time_ms,
 )
 from repro.query.operators.base import OperatorContext
 from repro.query.operators.similar import similar
@@ -30,6 +36,16 @@ def build_ctx(words, n_peers, seed=2):
     network = PGridNetwork(n_peers, config, sample_keys=sample)
     network.insert_triples(triples)
     return OperatorContext(network)
+
+
+@pytest.fixture(scope="module")
+def bible_setting():
+    """800 bible words on 512 peers, analyzed, and every 60th word."""
+    config = StoreConfig(seed=0, index_values=False, index_schema_grams=False)
+    corpus = bible_triples(800, seed=9)
+    engine = QueryEngine.build(512, corpus, config)
+    engine.analyze([TEXT_ATTRIBUTE])
+    return engine, [str(t.value) for t in corpus][::60]
 
 
 @pytest.fixture(scope="module")
@@ -105,6 +121,87 @@ class TestPredictions:
             model.predict(
                 "apple", TEXT_ATTR, 1, SimilarityStrategy.ADAPTIVE
             )
+
+
+class TestLatency:
+    """The latency leg: the one model of query response time."""
+
+    def test_network_time_grows_with_partitions(self):
+        assert network_time_ms(1024, 2) > network_time_ms(16, 2)
+
+    def test_compute_time_linear_in_comparisons(self):
+        assert compute_time_ms(1000) == pytest.approx(COMPARISON_COST_US)
+        assert compute_time_ms(3000) == pytest.approx(3 * compute_time_ms(1000))
+
+    def test_network_time_counts_route_dissemination_and_return(self):
+        # 0.5 * log2(16) routing hops + 2 dissemination levels + 1 return.
+        assert network_time_ms(16, 2) == 5 * HOP_LATENCY_MS
+
+    def test_network_time_floors_tiny_overlays(self):
+        """A one-partition overlay still pays half a routing hop."""
+        assert network_time_ms(1, 0) == network_time_ms(2, 0)
+        assert network_time_ms(1, 0) == 1.5 * HOP_LATENCY_MS
+
+    def test_compute_time_zero_without_comparisons(self):
+        assert compute_time_ms(0) == 0.0
+
+    def test_latency_is_network_time_without_statistics(self):
+        """No catalog, no expected comparisons: only hops remain."""
+        ctx = build_ctx([f"word{i:02d}" for i in range(40)], 64)
+        model = StrategyCostModel(ctx.network)
+        hop_grid = {
+            network_time_ms(ctx.network.n_partitions, depth)
+            for depth in range(16)
+        }
+        predictions = model.predict_all("word01", ATTR, 1, catalog=None)
+        for name, prediction in predictions.items():
+            assert prediction.latency_ms in hop_grid, name
+
+    def test_naive_slower_than_qsamples(self, bible_setting):
+        """Section 6: naive message counts hide poor response times.
+
+        800 bible words on 512 peers, every 60th word at ``d=2``: the
+        naive broadcast's dissemination through the whole region and its
+        per-peer scans must predict a longer response than q-samples'.
+        """
+        engine, words = bible_setting
+        assert len(words) == 14
+        for word in words:
+            predictions = engine.predict_similar(word, TEXT_ATTRIBUTE, 2)
+            assert (
+                predictions[SimilarityStrategy.NAIVE.value].latency_ms
+                > predictions[SimilarityStrategy.QSAMPLE.value].latency_ms
+            ), word
+
+    def test_qsamples_not_slower_than_qgrams(self, bible_setting):
+        """Fewer gram lookups never lengthen the predicted response."""
+        engine, words = bible_setting
+        for d in (1, 2):
+            for word in words:
+                predictions = engine.predict_similar(
+                    word, TEXT_ATTRIBUTE, d
+                )
+                assert (
+                    predictions[SimilarityStrategy.QSAMPLE.value].latency_ms
+                    <= predictions[SimilarityStrategy.QGRAM.value].latency_ms
+                ), (word, d)
+
+    def test_naive_latency_grows_faster_with_network(self):
+        """Naive disseminates through the region; grams stay logarithmic."""
+        words = [f"word{i:02d}" for i in range(40)]
+        small = StrategyCostModel(build_ctx(words, 16).network)
+        large = StrategyCostModel(build_ctx(words, 256).network)
+
+        def growth(strategy):
+            return (
+                large.predict("word01", ATTR, 1, strategy).latency_ms
+                - small.predict("word01", ATTR, 1, strategy).latency_ms
+            )
+
+        assert growth(SimilarityStrategy.NAIVE) > 0
+        assert growth(SimilarityStrategy.NAIVE) > growth(
+            SimilarityStrategy.QSAMPLE
+        )
 
 
 class TestChoose:

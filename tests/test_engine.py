@@ -2,10 +2,11 @@
 
 import pytest
 
-from repro.core.config import SimilarityStrategy, StoreConfig
+from repro.core.config import RankFunction, SimilarityStrategy, StoreConfig
 from repro.core.errors import PartitionUnreachableError
 from repro.engine import QueryEngine
 from repro.overlay.faults import FaultPlan
+from repro.storage.schema import RelationSchema, record_to_triples
 from repro.storage.triple import Triple
 
 from tests.conftest import LEN_ATTR, TEXT_ATTR, WORDS, word_triples
@@ -51,6 +52,13 @@ class TestFacade:
         assert engine.gram_scan_memo is None
         assert engine.fetch_memo is None
 
+    def test_memo_free_engine_keeps_verifier_pool(self):
+        engine = QueryEngine.build(8, memoize=False)
+        assert engine.verifier_pool is not None
+        stats = engine.verifier_stats()
+        assert stats["shared_pool"] is True
+        assert stats["kernel"] == engine.edit_kernel.name
+
     def test_context_shares_engine_wiring(self, engine):
         ctx = engine.context(strategy=SimilarityStrategy.QGRAM)
         assert ctx.naive_memo is engine.naive_memo
@@ -63,6 +71,82 @@ class TestFacade:
     def test_context_accepts_strategy_name(self, engine):
         ctx = engine.context(strategy="strings")
         assert ctx.strategy is SimilarityStrategy.NAIVE
+
+
+class TestBuildAndInsert:
+    def test_build_empty(self):
+        engine = QueryEngine.build(8)
+        assert engine.n_peers == 8
+
+    def test_insert_then_query(self):
+        engine = QueryEngine.build(16, config=StoreConfig(seed=2))
+        engine.insert([Triple("x:1", "t:name", "overlay")])
+        hits = engine.select("t:name", "overlay")
+        assert [m.oid for m in hits] == ["x:1"]
+
+    def test_insert_decomposed_record(self):
+        engine = QueryEngine.build(16, config=StoreConfig(seed=2))
+        engine.insert(
+            record_to_triples("c:1", {"name": "bmw", "hp": 300}, namespace="car")
+        )
+        assert engine.lookup("c:1")
+
+    def test_insert_relation_tuples(self):
+        engine = QueryEngine.build(16, config=StoreConfig(seed=2))
+        schema = RelationSchema("w", ("t",))
+        engine.insert(
+            triple
+            for serial, row in enumerate([{"t": "alpha"}, {"t": "beta"}])
+            for triple in schema.tuple_to_triples(schema.make_oid(serial), row)
+        )
+        assert engine.select("w:t", "alpha")
+
+
+class TestOperatorFacade:
+    def test_similar(self, word_store):
+        result = word_store.similar("apple", TEXT_ATTR, 1)
+        assert any(m.matched == "apple" for m in result.matches)
+
+    def test_similar_strategy_override(self, word_store):
+        naive = word_store.similar("apple", TEXT_ATTR, 1, strategy="strings")
+        default = word_store.similar("apple", TEXT_ATTR, 1)
+        assert {m.matched for m in naive.matches} == {
+            m.matched for m in default.matches
+        }
+
+    def test_similar_numeric(self, word_store):
+        matches = word_store.similar_numeric(LEN_ATTR, 5.0, 0.0)
+        assert {m.value_of(TEXT_ATTR) for m in matches} == {
+            w for w in WORDS if len(w) == 5
+        }
+
+    def test_sim_join_anchored(self, word_store):
+        result = word_store.sim_join_anchored(TEXT_ATTR, "apple", TEXT_ATTR, 1)
+        assert any(p.right.matched == "apply" for p in result.pairs)
+
+    def test_top_n(self, word_store):
+        result = word_store.top_n(LEN_ATTR, 3, RankFunction.MAX)
+        assert len(result.matches) == 3
+
+    def test_top_n_rank_string(self, word_store):
+        result = word_store.top_n(LEN_ATTR, 2, "min")
+        assert [m.distance for m in result.matches] == sorted(
+            float(len(w)) for w in WORDS
+        )[:2]
+
+    def test_top_n_string(self, word_store):
+        result = word_store.top_n_string(TEXT_ATTR, "apple", 3)
+        assert result.matches[0].matched == "apple"
+
+    def test_keyword(self, word_store):
+        triples = word_store.keyword("banana")
+        assert [(t.attribute, t.value) for t in triples] == [
+            (TEXT_ATTR, "banana")
+        ]
+
+    def test_lookup(self, word_store):
+        triples = word_store.lookup("w:0000")
+        assert {t.attribute for t in triples} == {TEXT_ATTR, LEN_ATTR}
 
 
 class TestAnalyze:
@@ -178,12 +262,24 @@ class TestMutationInvalidation:
 
 
 class TestLedger:
+    def test_last_cost_and_stats(self, word_store):
+        queries_before = word_store.stats.queries
+        word_store.similar("apple", TEXT_ATTR, 1)
+        assert word_store.last_cost().messages > 0
+        assert word_store.stats.queries == queries_before + 1
+
     def test_stats_accumulate(self, engine):
         before = engine.stats.queries
         engine.similar("apple", TEXT_ATTR, 1)
         engine.query(f"SELECT ?w WHERE {{ (?o,{TEXT_ATTR},?w) }} LIMIT 2")
         assert engine.stats.queries == before + 2
         assert engine.stats.messages > 0
+
+    def test_recorded_cost_carries_verifier_delta(self, engine):
+        engine.similar("apple", TEXT_ATTR, 1)
+        verifier = engine.last_cost().verifier
+        assert verifier["kernel"] == engine.edit_kernel.name
+        assert verifier["computed"] + verifier["memo_hits"] > 0
 
     def test_query_cost_is_the_recorded_cost(self, engine):
         text = (
