@@ -12,18 +12,15 @@ the naive ``strings`` broadcast grows linearly with the peer count while
 both q-gram strategies grow roughly logarithmically, with q-samples
 cheapest.
 
-The sweep runs on the incremental engine
-(:class:`repro.overlay.incremental.IncrementalNetworkBuilder`): each
-cell's network is grown from the trie-derivation state of the previous
-cells rather than rebuilt, and naive broadcasts are memoized across the
-workload — both bit-identical to a from-scratch run (the engine's
-equivalence tests pin this), which is why the printed build times stay
-flat while the peer count multiplies.  A fourth, **adaptive** series
+Each cell builds its own network from the dataset's once-derived index
+entries and replays the workload with exact naive broadcasts; the
+engine's workload memos change wall-clock only, never a message (the
+engine's equivalence tests pin this).  A fourth, **adaptive** series
 rides along: the cost model (docs/ARCHITECTURE.md, "Engine & cost
 model") picks naive vs. q-gram per query from collected statistics —
 watch it track the cheapest fixed curve as the network grows.  For the
 full harness — all four panels, CSV/JSON output, paper-scale option,
-the sampled-broadcast estimator — use ``python -m repro.bench``.
+parallel cells — use ``python -m repro.bench``.
 """
 
 from repro.core.config import StoreConfig
@@ -63,7 +60,7 @@ def main() -> None:
     builds = ", ".join(
         f"{cell.n_peers}p={cell.build_seconds:.2f}s" for cell in result.cells
     )
-    print(f"incremental network builds: {builds}")
+    print(f"network builds: {builds}")
     for cell in result.cells:
         if cell.adaptive_choices:
             print(

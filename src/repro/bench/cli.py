@@ -8,21 +8,17 @@ Usage::
     python -m repro.bench --peers 128 1024 --words 4000 --repetitions 10
     python -m repro.bench --csv-dir results/   # also write CSV series
     python -m repro.bench --json               # + BENCH_fig1.json / BENCH_micro.json
-    python -m repro.bench --full --naive-sample 0.02   # estimate naive cells
-    python -m repro.bench --check-incremental  # assert incremental == scratch
+    python -m repro.bench --jobs 2             # cells on two worker processes
 
 Default scale keeps the run to minutes on a laptop; ``--full`` switches
 to the paper's corpus sizes (106 704 words / 66 349 titles) and peer
 counts (100 .. 100 000).  Shapes are preserved at either scale; see
 EXPERIMENTS.md.
 
-Sweeps always run on the incremental engine (shared trie-derivation
-state across cells, whole-workload naive memoization); both are
-equivalence-preserving, so the measured series are bit-identical to a
-from-scratch run.  ``--naive-sample RATE`` is the only switch that
-trades exactness for speed: it samples each naive broadcast region at
-~RATE and extrapolates, and is recorded in the JSON (``scale`` and
-per-cell ``naive_sampled``) so estimated series stay distinguishable.
+Each dataset's index entries are derived once; every cell builds its
+own network from them and replays the workload with exact naive
+broadcasts.  The engine's whole-workload memos are cost-transparent, so
+the measured series are bit-identical to a memo-free run.
 
 Each cell additionally replays the workload in **adaptive** mode (the
 cost model of :mod:`repro.query.cost` picks naive vs. q-gram per query
@@ -64,7 +60,6 @@ from repro.bench.sweep import (
     SweepResult,
     full_scale,
     run_sweep_job,
-    sweep_check,
 )
 
 #: Default (scaled-down) corpus sizes.
@@ -115,21 +110,6 @@ def _parser() -> argparse.ArgumentParser:
         help="do not fail on qualitative shape findings (tiny smoke runs)",
     )
     parser.add_argument(
-        "--naive-sample",
-        type=float,
-        default=0.0,
-        metavar="RATE",
-        help="sampled-broadcast estimator for the naive strategy: scan "
-        "only ~RATE of each region's partitions and extrapolate its "
-        "cost (0 = exact broadcast, the default; recorded in the JSON)",
-    )
-    parser.add_argument(
-        "--check-incremental",
-        action="store_true",
-        help="rebuild every cell's network from scratch and assert the "
-        "incremental build is identical (slow; also REPRO_SWEEP_CHECK=1)",
-    )
-    parser.add_argument(
         "--no-adaptive",
         action="store_true",
         help="skip the cost-model-driven adaptive replay (the three "
@@ -172,18 +152,10 @@ def main(argv: list[str] | None = None) -> int:
     def progress(message: str) -> None:
         print(f"  [{time.strftime('%H:%M:%S')}] {message}", file=sys.stderr)
 
-    if not 0.0 <= args.naive_sample < 1.0:
-        print(
-            f"--naive-sample must be in [0, 1), got {args.naive_sample}",
-            file=sys.stderr,
-        )
-        return 2
     if args.jobs < 1:
         print(f"--jobs must be >= 1, got {args.jobs}", file=sys.stderr)
         return 2
     job_options = {
-        "naive_sample_rate": args.naive_sample,
-        "check_equivalence": args.check_incremental or sweep_check(),
         "strategies": (
             ALL_STRATEGIES if args.no_adaptive else ALL_WITH_ADAPTIVE
         ),
@@ -252,9 +224,10 @@ def main(argv: list[str] | None = None) -> int:
             "peer_counts": list(peer_counts),
             "repetitions": repetitions,
             "seed": args.seed,
-            # 0.0 = exact broadcasts; > 0 marks the "strings" series of
-            # every cell as sampled-broadcast *estimates*.
-            "naive_sample_rate": args.naive_sample,
+            # Retired (the sampled-broadcast estimator was removed; every
+            # naive broadcast is exact); kept at 0.0 because bench schemas
+            # are additive-only.
+            "naive_sample_rate": 0.0,
             # Whether the cost-model-driven adaptive replay ran (its
             # series is additive; fixed series are identical either way).
             "adaptive": not args.no_adaptive,

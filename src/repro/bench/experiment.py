@@ -25,7 +25,6 @@ from repro.core.config import SimilarityStrategy, StoreConfig
 from repro.core.stats import QueryStats
 from repro.engine import QueryEngine
 from repro.overlay.hashing import CompositeKeyCodec
-from repro.overlay.incremental import IncrementalNetworkBuilder
 from repro.overlay.network import PGridNetwork
 from repro.storage.indexing import EntryFactory, IndexEntry
 from repro.storage.triple import Triple
@@ -80,24 +79,6 @@ class PreparedDataset:
         network.place_entries(self.entries)
         return network
 
-    def make_builder(
-        self, check_equivalence: bool = False
-    ) -> IncrementalNetworkBuilder:
-        """An incremental builder over this dataset (one per sweep).
-
-        The builder shares trie split counts across every network it
-        builds, so a sweep's later (larger) cells derive their tries from
-        mostly cached splits; ``check_equivalence=True`` re-builds every
-        cell from scratch and asserts structural equality (the sweep
-        engine's paranoia mode).
-        """
-        return IncrementalNetworkBuilder(
-            config=self.config,
-            entries=self.entries,
-            sample_keys=self.sample_keys,
-            check_equivalence=check_equivalence,
-        )
-
 
 @dataclass
 class CellResult:
@@ -113,8 +94,6 @@ class CellResult:
     total_entries: int = 0
     #: Stored payload bytes across all peers (cached per-store totals).
     stored_payload_bytes: int = 0
-    #: Sampled-broadcast estimator rate the cell ran with (0 = exact).
-    naive_sample_rate: float = 0.0
     #: One-off statistics-collection cost paid before the adaptive replay
     #: (kept out of the workload series so all series stay comparable).
     adaptive_stats_messages: int = 0
@@ -146,26 +125,20 @@ def run_cell(
     strategies: Sequence[SimilarityStrategy] = ALL_STRATEGIES,
     workload: Sequence[WorkloadQuery] | None = None,
     prepared: PreparedDataset | None = None,
-    builder: IncrementalNetworkBuilder | None = None,
     memoize: bool = True,
-    naive_sample_rate: float = 0.0,
 ) -> CellResult:
     """Run the full strategy comparison for one peer count.
 
     ``prepared`` short-circuits entry derivation; sweeps pass the same
-    :class:`PreparedDataset` into every cell.  ``builder`` additionally
-    carries trie-derivation state across cells (the incremental sweep
-    engine); when given, it takes precedence over ``prepared`` for
-    network construction.
+    :class:`PreparedDataset` into every cell, and each cell builds its
+    network from it with :meth:`PreparedDataset.build_network`.
 
     All cell wiring — the whole-workload memos, the shared verifier
     pool, the cost model behind the adaptive replay — comes from one
     :class:`~repro.engine.QueryEngine`; ``memoize=False`` runs the cell
     memo-free (the memos are sound here because the cell's stores are
     static once loaded, and cost-transparent — identical message/byte
-    series — by construction).  ``naive_sample_rate`` > 0 opts into the
-    sampled-broadcast estimator; the default 0 keeps every naive series
-    exact.
+    series — by construction).  The naive broadcast is always exact.
 
     When ``strategies`` contains ``SimilarityStrategy.ADAPTIVE`` it
     always replays *last*: it first collects per-attribute statistics
@@ -176,40 +149,23 @@ def run_cell(
     """
     config = config if config is not None else StoreConfig()
     started = time.perf_counter()
-    if builder is not None:
-        # Time the build ourselves as well: a builder variant that
-        # reports nothing must still yield a real build_seconds, not 0.0.
-        build_started = time.perf_counter()
-        network = builder.build(n_peers)
-        build_measured = time.perf_counter() - build_started
-        report = builder.last_report
-        build_seconds = (
-            report.build_seconds if report is not None else build_measured
-        )
-    else:
-        if prepared is None:
-            prepared = PreparedDataset.prepare(triples, config)
-        # Time only construction + placement: dataset preparation is
-        # per-dataset work, not part of the cell's build metric.
-        build_started = time.perf_counter()
-        network = prepared.build_network(n_peers)
-        build_seconds = time.perf_counter() - build_started
+    if prepared is None:
+        prepared = PreparedDataset.prepare(triples, config)
+    # Time only construction + placement: dataset preparation is
+    # per-dataset work, not part of the cell's build metric.
+    build_started = time.perf_counter()
+    network = prepared.build_network(n_peers)
+    build_seconds = time.perf_counter() - build_started
     if workload is None:
         workload = make_workload(
             strings, network.n_peers, repetitions=repetitions, seed=config.seed
         )
-    result = CellResult(
-        n_peers=n_peers,
-        build_seconds=build_seconds,
-        naive_sample_rate=naive_sample_rate,
-    )
+    result = CellResult(n_peers=n_peers, build_seconds=build_seconds)
     # One engine per cell: the strategies replay the same workload, so
     # later strategies reuse the memos and verifier state earlier ones
     # filled.  Sharing changes wall-clock only, never a match set or a
     # message (pinned by tests).
-    engine = QueryEngine(
-        network, memoize=memoize, naive_sample_rate=naive_sample_rate
-    )
+    engine = QueryEngine(network, memoize=memoize)
     fixed = [s for s in strategies if s is not SimilarityStrategy.ADAPTIVE]
     for strategy in fixed:
         network.tracer.reset()

@@ -115,8 +115,9 @@ def write_csv(path: str, result: SweepResult) -> None:
 #: ``adaptive_stats_messages`` / ``adaptive_stats_bytes`` /
 #: ``adaptive_choices`` fields (the cost of
 #: the one-off statistics walk and the cost model's strategy picks) —
-#: all additive; the v2 fields (``build_seconds``, ``naive_sampled``)
-#: and the v1 series fields are unchanged.
+#: all additive; the v2 ``build_seconds`` field and the v1 series fields
+#: are unchanged (the v2 per-cell ``naive_sampled`` flag is retired and
+#: never written: every naive series is exact).
 FIG1_SCHEMA = "repro-bench-fig1/v4"
 
 
@@ -129,10 +130,8 @@ def sweep_to_dict(
     Each cell carries the figure series (messages / megabytes per
     strategy) plus the perf-trajectory fields: wall-clock seconds,
     network build seconds, stored entry count and payload bytes.  Cells
-    measured with the sampled-broadcast estimator additionally carry
-    ``"naive_sampled": true`` so estimated ``strings`` series can never
-    be mistaken for exact ones; cells with an adaptive replay carry the
-    statistics-walk cost and the tally of chosen strategies.
+    with an adaptive replay also carry the statistics-walk cost and the
+    tally of chosen strategies.
     """
     if strategies is None:
         strategies = panel_strategies(result)
@@ -152,8 +151,6 @@ def sweep_to_dict(
                 for strategy in strategies
             },
         }
-        if cell.naive_sample_rate:
-            cell_dict["naive_sampled"] = True
         if SimilarityStrategy.ADAPTIVE in cell.by_strategy:
             cell_dict["adaptive_stats_messages"] = cell.adaptive_stats_messages
             cell_dict["adaptive_stats_bytes"] = cell.adaptive_stats_bytes

@@ -20,7 +20,7 @@ Two transports exercise the same application object:
   sockets, measures the engine + admission path alone;
 * ``--http`` — boots the real asyncio server on a loopback port and
   drives it through :class:`~repro.serve.client.HttpClient` keep-alive
-  connections; measures the full wire path.
+  connections, one per in-flight request; measures the full wire path.
 
 ``python -m repro.bench.serve --json-dir benchmarks`` writes the
 committed ``BENCH_serve.json`` baseline (schema ``repro-bench-serve/v1``;
@@ -75,9 +75,6 @@ STRATEGY_MIX = (
     ("qgrams", 0.80),
     ("qsamples", 1.00),
 )
-
-#: Connections kept open by the HTTP transport.
-HTTP_POOL_SIZE = 16
 
 #: Seconds allowed for in-flight requests to drain after the last arrival.
 DRAIN_TIMEOUT = 60.0
@@ -219,22 +216,39 @@ class InProcessTransport:
 
 
 class HttpTransport:
-    """Drive a live server through a pool of keep-alive connections."""
+    """Drive a live server, one keep-alive connection per in-flight request.
 
-    def __init__(self, host: str, port: int, pool_size: int = HTTP_POOL_SIZE):
-        self._pool: asyncio.Queue[HttpClient] = asyncio.Queue()
-        self._clients = [HttpClient(host, port) for __ in range(pool_size)]
-        for client in self._clients:
-            self._pool.put_nowait(client)
+    A request takes an idle connection when one is free and opens a new
+    one otherwise, so no request ever waits on the client side: every
+    in-flight request reaches the server, where admission sees it, and
+    the latency :func:`run_load` records is the server's, not a wait for
+    a pooled connection (coordinated omission).
+    """
+
+    def __init__(self, host: str, port: int):
+        self.host = host
+        self.port = port
+        self._idle: list[HttpClient] = []
+        #: Every connection this transport opened, idle or busy.
+        self.clients: list[HttpClient] = []
+
+    async def _request(
+        self, method: str, path: str, payload: dict | None = None
+    ):
+        if self._idle:
+            client = self._idle.pop()
+        else:
+            client = HttpClient(self.host, self.port)
+            self.clients.append(client)
+        try:
+            return await client.request(method, path, payload)
+        finally:
+            self._idle.append(client)
 
     async def fire(self, planned: PlannedRequest) -> Outcome:
-        client = await self._pool.get()
-        try:
-            reply = await client.request(
-                planned.method, planned.path, planned.payload
-            )
-        finally:
-            self._pool.put_nowait(client)
+        reply = await self._request(
+            planned.method, planned.path, planned.payload
+        )
         if reply.lines:
             summary = next(
                 (line for line in reply.lines if line.get("done")), {}
@@ -245,14 +259,10 @@ class HttpTransport:
         )
 
     async def stats(self) -> dict:
-        client = await self._pool.get()
-        try:
-            return (await client.request("GET", "/stats")).json()
-        finally:
-            self._pool.put_nowait(client)
+        return (await self._request("GET", "/stats")).json()
 
     async def close(self) -> None:
-        for client in self._clients:
+        for client in self.clients:
             await client.close()
 
 

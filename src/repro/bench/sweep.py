@@ -4,15 +4,13 @@ A sweep runs one experiment cell per peer count and collects, for every
 strategy, the two series the paper plots: total messages and total data
 volume of the whole workload.
 
-Sweeps run on the incremental engine: one
-:class:`~repro.overlay.incremental.IncrementalNetworkBuilder` (derived
-from the sweep's shared :class:`~repro.bench.experiment.PreparedDataset`)
-grows each cell's network from the trie-derivation state of the previous
-cells instead of rebuilding from scratch, and each cell's workload runs
-with whole-workload naive-broadcast memoization.  Both are equivalence-
-preserving — measured message/byte series are bit-identical to a
-from-scratch, unmemoized run — and ``REPRO_SWEEP_CHECK=1`` (or
-``check_equivalence=True``) asserts the network equivalence per cell.
+A sweep derives its dataset's index entries once
+(:class:`~repro.bench.experiment.PreparedDataset`); every cell then
+builds its own network from them with
+:meth:`~repro.bench.experiment.PreparedDataset.build_network` and runs
+its workload with exact naive broadcasts and the engine's
+whole-workload memos, which are cost-transparent — measured
+message/byte series are bit-identical to an unmemoized run.
 
 Cells of one sweep are *independent*: every (dataset, peer count) pair
 builds its own network from its own seed and replays its own workload,
@@ -51,10 +49,6 @@ PAPER_PEER_COUNTS = (100, 1_000, 10_000, 100_000)
 #: Environment variable that switches benchmarks to paper scale.
 FULL_SCALE_ENV = "REPRO_FULL_SCALE"
 
-#: Environment variable that turns on the per-cell incremental-vs-scratch
-#: equivalence check (slow; the sweep engine's paranoia mode).
-SWEEP_CHECK_ENV = "REPRO_SWEEP_CHECK"
-
 
 def full_scale() -> bool:
     """True when the environment requests paper-scale runs.
@@ -64,11 +58,6 @@ def full_scale() -> bool:
     values raise instead of silently enabling a 100 000-peer run.
     """
     return env_flag(FULL_SCALE_ENV)
-
-
-def sweep_check() -> bool:
-    """True when the environment requests incremental equivalence checks."""
-    return env_flag(SWEEP_CHECK_ENV)
 
 
 class SweepCellError(RuntimeError):
@@ -136,8 +125,6 @@ class SweepJob:
     prepared: PreparedDataset
     repetitions: int = 40
     strategies: tuple[SimilarityStrategy, ...] = ALL_STRATEGIES
-    check_equivalence: bool = False
-    naive_sample_rate: float = 0.0
 
     @classmethod
     def from_dataset(
@@ -161,7 +148,7 @@ class SweepJob:
             **options,
         )
 
-    def _run_cell(self, n_peers: int, builder) -> CellResult:
+    def _run_cell(self, n_peers: int) -> CellResult:
         return run_cell(
             (),
             self.attribute,
@@ -171,8 +158,6 @@ class SweepJob:
             repetitions=self.repetitions,
             strategies=self.strategies,
             prepared=self.prepared,
-            builder=builder,
-            naive_sample_rate=self.naive_sample_rate,
         )
 
 
@@ -180,18 +165,17 @@ def run_sweep_job(
     job: SweepJob,
     progress: Callable[[str], None] | None = None,
 ) -> SweepResult:
-    """Serial reference runner: one builder, cells in peer-count order.
+    """Serial reference runner: cells in peer-count order.
 
     This is the path the parallel runner is property-tested against —
     its series define what "bit-identical" means for ``jobs > 1``.
     """
     started = time.perf_counter()
     result = SweepResult(dataset=job.dataset)
-    builder = job.prepared.make_builder(check_equivalence=job.check_equivalence)
     for n_peers in job.peer_counts:
         if progress is not None:
             progress(f"{job.dataset}: {n_peers} peers ...")
-        cell = job._run_cell(n_peers, builder)
+        cell = job._run_cell(n_peers)
         result.cells.append(cell)
         if progress is not None:
             progress(_cell_summary(job, cell))
@@ -214,22 +198,16 @@ def _run_sweep_chunk(
 ) -> list[tuple[int, CellResult]]:
     """Worker-process entry point: run one chunk of a job's cells.
 
-    Each chunk gets its own :class:`IncrementalNetworkBuilder` (the trie
-    count cache is per-process state) and its indices arrive in
-    increasing peer-count order, so the builder only ever grows.  Any
-    failure is re-raised as a picklable :class:`SweepCellError` carrying
-    the full formatted traceback — the parent's view of a worker crash
-    must never degrade to a bare, context-free exception.
+    Any failure is re-raised as a picklable :class:`SweepCellError`
+    carrying the full formatted traceback — the parent's view of a worker
+    crash must never degrade to a bare, context-free exception.
     """
     n_peers: int | None = None
     try:
-        builder = job.prepared.make_builder(
-            check_equivalence=job.check_equivalence
-        )
         chunk: list[tuple[int, CellResult]] = []
         for index in cell_indices:
             n_peers = job.peer_counts[index]
-            chunk.append((index, job._run_cell(n_peers, builder)))
+            chunk.append((index, job._run_cell(n_peers)))
         return chunk
     except Exception:
         raise SweepCellError(
@@ -241,11 +219,10 @@ class ParallelSweepRunner:
     """Dispatch sweep cells to a process pool; reassemble exact series.
 
     Cells are partitioned into at most ``jobs`` chunks per dataset via
-    ``indices[i::n_chunks]`` — every chunk sees *increasing* peer counts,
-    so each worker's private incremental builder grows monotonically just
-    like the serial sweep's.  Chunks from all submitted jobs share one
-    pool, so a two-dataset sweep keeps every worker busy instead of
-    draining dataset barriers.
+    ``indices[i::n_chunks]`` — round-robin over the peer-count order, so
+    the largest cells land in different chunks.  Chunks from all
+    submitted jobs share one pool, so a two-dataset sweep keeps every
+    worker busy instead of draining dataset barriers.
 
     Failure semantics are loud by contract: the first failing chunk
     cancels everything still pending and re-raises its
@@ -323,24 +300,16 @@ def sweep(
     repetitions: int = 40,
     strategies: Sequence[SimilarityStrategy] = ALL_STRATEGIES,
     progress: Callable[[str], None] | None = None,
-    check_equivalence: bool | None = None,
-    naive_sample_rate: float = 0.0,
     jobs: int = 1,
 ) -> SweepResult:
     """Run the strategy comparison across peer counts.
 
     Entry derivation and the data-aware trie sample happen once, up
-    front (:class:`PreparedDataset`); each cell's network is then grown
-    by an incremental builder, and each cell's workload runs with the
-    engine's cost-transparent accelerations (the workload memos and the
-    shared verifier pool; :func:`~repro.bench.experiment.run_cell`
-    with ``memoize=False`` is their memo-free reference).
-    ``check_equivalence`` (default: the ``REPRO_SWEEP_CHECK``
-    environment variable) re-builds every cell from scratch and asserts
-    the incremental network is identical.  ``naive_sample_rate`` > 0
-    opts into the sampled-broadcast estimator for the naive strategy
-    (approximate series, flagged in the JSON); the default keeps every
-    series exact.
+    front (:class:`PreparedDataset`); each cell's network is then built
+    from them, and each cell's workload runs with the engine's
+    cost-transparent accelerations (the workload memos and the shared
+    verifier pool; :func:`~repro.bench.experiment.run_cell` with
+    ``memoize=False`` is their memo-free reference).
 
     ``jobs > 1`` dispatches cells to a :class:`ParallelSweepRunner`
     process pool; that changes wall-clock only — every measured series
@@ -351,8 +320,6 @@ def sweep(
     cost-model-driven replay to every cell; it always runs last, so the
     fixed series stay bit-identical to an adaptive-free sweep.
     """
-    if check_equivalence is None:
-        check_equivalence = sweep_check()
     job = SweepJob.from_dataset(
         dataset,
         triples,
@@ -362,8 +329,6 @@ def sweep(
         config=config,
         repetitions=repetitions,
         strategies=tuple(strategies),
-        check_equivalence=check_equivalence,
-        naive_sample_rate=naive_sample_rate,
     )
     if jobs > 1:
         return ParallelSweepRunner(jobs).run([job], progress)[0]

@@ -27,7 +27,7 @@ def env_flag(name: str, default: bool = False) -> bool:
     """Read a boolean environment variable, normalized like enum names.
 
     The one sanctioned way to parse an on/off environment switch
-    (``REPRO_FULL_SCALE``, ``REPRO_SWEEP_CHECK``, ...): values are
+    (``REPRO_FULL_SCALE``, ...): values are
     ``.strip().lower()``-normalized first — the same idiom
     :meth:`SimilarityStrategy.from_name` uses — so ``"False"``,
     ``"FALSE"``, ``" no "`` and ``"off"`` all read as false instead of

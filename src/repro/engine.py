@@ -70,7 +70,7 @@ from repro.query.operators.simjoin import SimJoinResult, anchored_sim_join, sim_
 from repro.query.operators.topn import TopNResult, top_n_numeric, top_n_string_nn
 from repro.similarity.filters import FilterConfig
 from repro.similarity.kernels import EditKernel, resolve_kernel
-from repro.similarity.verify import DEFAULT_POOL_LIMIT, VerifierPool
+from repro.similarity.verify import VerifierPool
 from repro.storage.triple import Triple, ValueType
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -123,13 +123,6 @@ class QueryEngine:
         bit-parallel with the numpy prefilter when importable).
         Kernels change wall-clock only; every match set and measured
         message/byte series is kernel-independent.
-    verifier_pool_limit:
-        Bound on live verifiers in the shared pool (LRU eviction beyond
-        it); ``None`` keeps the pool default.  Distance memos are
-        store-independent, so eviction is always safe.
-    naive_sample_rate:
-        Default sampled-broadcast estimator rate for contexts built by
-        this engine (0 = exact).
     memo_maintenance:
         What a mutation routed through the engine's write path
         (:meth:`insert`, :meth:`delete`, :meth:`recover`) does to the
@@ -152,10 +145,8 @@ class QueryEngine:
         strategy: SimilarityStrategy | str | None = None,
         catalog: "StatisticsCatalog | None" = None,
         memoize: bool = True,
-        naive_sample_rate: float = 0.0,
         memo_maintenance: str = "delta",
         edit_kernel: EditKernel | str | None = None,
-        verifier_pool_limit: int | None = None,
     ):
         self.network = network
         self.config = network.config
@@ -172,16 +163,8 @@ class QueryEngine:
         self.gram_scan_memo = GramScanMemo(network) if memoize else None
         self.fetch_memo = FetchObjectsMemo(network) if memoize else None
         self.edit_kernel = resolve_kernel(edit_kernel)
-        self.verifier_pool = VerifierPool(
-            kernel=self.edit_kernel,
-            max_verifiers=(
-                verifier_pool_limit
-                if verifier_pool_limit is not None
-                else DEFAULT_POOL_LIMIT
-            ),
-        )
+        self.verifier_pool = VerifierPool(kernel=self.edit_kernel)
         self.cost_model = StrategyCostModel(network)
-        self.naive_sample_rate = naive_sample_rate
         self._filters = FilterConfig(
             use_position=self.config.enable_position_filter,
             use_length=self.config.enable_length_filter,
@@ -237,7 +220,6 @@ class QueryEngine:
         self,
         strategy: SimilarityStrategy | str | None = None,
         rng: random.Random | None = None,
-        naive_sample_rate: float | None = None,
         catalog: "StatisticsCatalog | None" = None,
     ) -> OperatorContext:
         """A fresh :class:`OperatorContext` sharing this engine's wiring.
@@ -258,11 +240,6 @@ class QueryEngine:
             filters=self._filters,
             rng=rng,
             naive_memo=self.naive_memo,
-            naive_sample_rate=(
-                self.naive_sample_rate
-                if naive_sample_rate is None
-                else naive_sample_rate
-            ),
             verifier_pool=self.verifier_pool,
             edit_kernel=self.edit_kernel,
             gram_scan_memo=self.gram_scan_memo,

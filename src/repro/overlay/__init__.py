@@ -16,11 +16,6 @@ from repro.overlay.hashing import (
     OrderPreservingStringHash,
     uniform_key,
 )
-from repro.overlay.incremental import (
-    BuildReport,
-    IncrementalNetworkBuilder,
-    assert_networks_equivalent,
-)
 from repro.overlay.messages import CostReport, MessageTracer, MessageType
 from repro.overlay.network import PGridNetwork
 from repro.overlay.peer import Peer
@@ -28,7 +23,6 @@ from repro.overlay.range_query import RangeQueryResult, range_query
 from repro.overlay.routing import Partition, Router
 
 __all__ = [
-    "BuildReport",
     "ChurnController",
     "ChurnReport",
     "Completeness",
@@ -40,8 +34,6 @@ __all__ = [
     "FaultPlan",
     "FaultSession",
     "RetryPolicy",
-    "IncrementalNetworkBuilder",
-    "assert_networks_equivalent",
     "MessageTracer",
     "MessageType",
     "NumericKeyCodec",

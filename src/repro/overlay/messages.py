@@ -86,8 +86,7 @@ class MessageTracer:
         """Account for ``count`` messages totalling ``payload_bytes`` at once.
 
         O(1) accounting for flows whose per-message loop is itself the
-        cost being avoided — shower forwards, naive broadcast copies, and
-        the sampled naive-broadcast estimator's extrapolated counts
+        cost being avoided — shower forwards and naive broadcast copies
         (instead of iterating 10⁵ peers).  Counters and per-phase totals
         update exactly as ``count`` individual :meth:`send` calls would.
         """

@@ -42,7 +42,6 @@ class PGridNetwork:
         config: StoreConfig | None = None,
         sample_keys: Sequence[str] | None = None,
         tracer: MessageTracer | None = None,
-        trie_count_cache: dict[str, int] | None = None,
     ):
         """Build a network of ``n_peers``.
 
@@ -50,12 +49,6 @@ class PGridNetwork:
         the data you are about to insert (or a sample of them) to get
         P-Grid-style load balancing.  Omitting it — or selecting
         ``TrieBalancing.UNIFORM`` — produces an evenly split trie.
-
-        ``trie_count_cache`` memoizes the data-aware builder's per-prefix
-        sample counts across networks built over the *same*
-        ``sample_keys`` (see :func:`repro.overlay.trie.data_aware_paths`);
-        sweeps pass one shared cache so each cell's trie derivation reuses
-        the previous cells' splits.
         """
         if n_peers < 1:
             raise OverlayError(f"need at least one peer, got {n_peers}")
@@ -69,10 +62,7 @@ class PGridNetwork:
         n_partitions = max(1, n_peers // k)
         if self.config.balancing is TrieBalancing.DATA_AWARE and sample_keys:
             paths = trie.data_aware_paths(
-                n_partitions,
-                sample_keys,
-                self.config.key_bits,
-                count_cache=trie_count_cache,
+                n_partitions, sample_keys, self.config.key_bits
             )
         else:
             paths = trie.uniform_paths(n_partitions)
@@ -305,8 +295,8 @@ class PGridNetwork:
     def place_entries(self, entries: Sequence[IndexEntry]) -> int:
         """Bulk-place pre-built index entries sorted by key.
 
-        The incremental-sweep fast path: entry derivation (q-gram
-        decomposition, key hashing) happens once per dataset via
+        The sweep fast path: entry derivation (q-gram decomposition, key
+        hashing) happens once per dataset via
         :class:`EntryFactory`; each network re-places the same entry list
         with a single merge walk over its sorted trie paths — O(E + P)
         partition assignment instead of O(E log P) per-entry bisection,

@@ -19,7 +19,7 @@ Two builders are provided (DESIGN.md §6):
 from __future__ import annotations
 
 import bisect
-from collections.abc import MutableMapping, Sequence
+from collections.abc import Sequence
 
 from repro.core.errors import OverlayError
 from repro.overlay import keys as keyspace
@@ -52,7 +52,6 @@ def data_aware_paths(
     n_partitions: int,
     sample_keys: Sequence[str],
     key_bits: int,
-    count_cache: MutableMapping[str, int] | None = None,
 ) -> list[str]:
     """Leaf paths balanced against an observed key distribution.
 
@@ -65,15 +64,6 @@ def data_aware_paths(
 
     Falls back to uniform splitting inside regions that contain no sample
     keys, and guarantees every partition gets at least one peer.
-
-    ``count_cache`` memoizes the per-prefix sample counts.  The counts
-    depend only on ``(sample_keys, key_bits)``, so a sweep that grows the
-    partition count over a *fixed* dataset can pass the same mapping into
-    every call and re-derive each trie from mostly cached splits — the
-    incremental construction used by
-    :class:`repro.overlay.incremental.IncrementalNetworkBuilder`.  The
-    caller owns the cache and must not reuse it across different key
-    samples or key widths.
     """
     if n_partitions < 1:
         raise OverlayError(f"need at least one partition, got {n_partitions}")
@@ -88,19 +78,12 @@ def data_aware_paths(
 
     def count_in(prefix: str) -> int:
         """Sample keys covered by ``prefix`` (binary search on sorted keys)."""
-        if count_cache is not None:
-            cached = count_cache.get(prefix)
-            if cached is not None:
-                return cached
         lo_int, hi_int = keyspace.prefix_interval(prefix, key_bits)
         lo_key = keyspace.int_to_key(lo_int, key_bits)
         hi_key = keyspace.int_to_key(hi_int, key_bits)
         lo = bisect.bisect_left(sorted_keys, lo_key)
         hi = bisect.bisect_right(sorted_keys, hi_key)
-        count = hi - lo
-        if count_cache is not None:
-            count_cache[prefix] = count
-        return count
+        return hi - lo
 
     def split(prefix: str, count: int) -> None:
         if count == 1:

@@ -5,7 +5,8 @@ a client; the container has no third-party HTTP library, so this module
 implements the narrow slice the service speaks: JSON POST/GET with
 ``Content-Length`` responses and chunked NDJSON streams.  One
 :class:`HttpClient` holds one keep-alive connection and issues requests
-sequentially; the open-loop load generator opens a small pool of them.
+sequentially; the open-loop load generator opens one per in-flight
+request.
 """
 
 from __future__ import annotations

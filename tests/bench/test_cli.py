@@ -86,7 +86,7 @@ class TestCli:
         assert cells[0]["peers"] == 16
         assert cells[0]["total_entries"] > 0
         assert cells[0]["build_seconds"] >= 0
-        assert "naive_sampled" not in cells[0]  # exact by default
+        assert "naive_sampled" not in cells[0]  # retired, never written
         assert fig1["scale"]["naive_sample_rate"] == 0.0
         assert fig1["scale"]["adaptive"] is True
         assert set(cells[0]["strategies"]) == {

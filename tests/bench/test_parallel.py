@@ -17,11 +17,7 @@ from repro.core.config import (
 )
 from repro.core.stats import QueryStats
 from repro.datasets.bible import TEXT_ATTRIBUTE, bible_triples
-from repro.bench.experiment import (
-    ALL_WITH_ADAPTIVE,
-    PreparedDataset,
-    run_cell,
-)
+from repro.bench.experiment import ALL_WITH_ADAPTIVE
 from repro.bench.sweep import (
     ParallelSweepRunner,
     SweepCellError,
@@ -29,7 +25,6 @@ from repro.bench.sweep import (
     full_scale,
     run_sweep_job,
     sweep,
-    sweep_check,
 )
 
 
@@ -63,8 +58,6 @@ class TestEnvFlagNormalization:
     def test_false_spellings(self, monkeypatch, raw):
         monkeypatch.setenv("REPRO_FULL_SCALE", raw)
         assert not full_scale()
-        monkeypatch.setenv("REPRO_SWEEP_CHECK", raw)
-        assert not sweep_check()
 
     @pytest.mark.parametrize(
         "raw", ["1", "true", "True", "TRUE", "yes", "on", " ON "]
@@ -90,27 +83,28 @@ class TestEnvFlagNormalization:
         assert env_flag("SOME_UNSET_FLAG", default=True) is True
 
 
-class TestBuildSecondsFallback:
-    """A builder without reports must still yield a measured build time."""
+class TestSweepCells:
+    """Every cell builds its own network; no state crosses cells."""
 
-    def test_reportless_builder_measures_fallback(self, corpus, strings):
-        config = StoreConfig(seed=1)
-        prepared = PreparedDataset.prepare(corpus, config)
+    def test_series_independent_of_peer_count_order(self, corpus, strings):
+        """A cell's series do not depend on which cells ran before it."""
 
-        class ReportlessBuilder:
-            last_report = None
+        def series(peer_counts):
+            job = SweepJob.from_dataset(
+                "bible", corpus, TEXT_ATTRIBUTE, strings,
+                peer_counts=peer_counts,
+                config=StoreConfig(seed=1),
+                repetitions=1,
+            )
+            return {
+                cell.n_peers: {
+                    strategy: stats_key(stats)
+                    for strategy, stats in cell.by_strategy.items()
+                }
+                for cell in run_sweep_job(job).cells
+            }
 
-            def build(self, n_peers):
-                return prepared.build_network(n_peers)
-
-        cell = run_cell(
-            (), TEXT_ATTRIBUTE, strings, 16, config,
-            repetitions=1,
-            strategies=(SimilarityStrategy.QSAMPLE,),
-            prepared=prepared,
-            builder=ReportlessBuilder(),
-        )
-        assert 0 < cell.build_seconds <= cell.wall_seconds
+        assert series((16, 48)) == series((48, 16))
 
 
 class TestParallelSweep:
@@ -201,10 +195,10 @@ class CrashingSweepJob(SweepJob):
 
     CRASH_PEERS = 512
 
-    def _run_cell(self, n_peers, builder):
+    def _run_cell(self, n_peers):
         if n_peers == self.CRASH_PEERS:
             raise RuntimeError("injected cell crash")
-        return super()._run_cell(n_peers, builder)
+        return super()._run_cell(n_peers)
 
 
 class TestWorkerFailure:

@@ -20,16 +20,17 @@ from repro.overlay.faults import (
     FaultSession,
     RetryPolicy,
 )
+from repro.query.operators.naive import _with_partition_indices
 from repro.storage.indexing import EntryKind
 
 from tests.conftest import TEXT_ATTR, WORDS, word_triples
 
 
-def build_engine(**config_overrides) -> QueryEngine:
+def build_engine(n_peers: int = 32, **config_overrides) -> QueryEngine:
     options = {"seed": 7, "replication": 3}
     options.update(config_overrides)
     return QueryEngine.build(
-        n_peers=32, triples=word_triples(), config=StoreConfig(**options)
+        n_peers=n_peers, triples=word_triples(), config=StoreConfig(**options)
     )
 
 
@@ -227,6 +228,7 @@ class TestDegradedQueries:
         )
 
     def test_degraded_naive_broadcast_skips_dark_region(self):
+        healthy = build_engine().similar("apple", TEXT_ATTR, 1, strategy="strings")
         engine = build_engine()
         engine.install_faults(FaultPlan.lossy(0.02, seed=5), mode="degraded")
         # Darken the attribute region's first partition explicitly.
@@ -234,10 +236,70 @@ class TestDegradedQueries:
         region = engine.network.partitions_under(prefix)
         churn = ChurnController(engine.network, seed=0)
         churn.fail_peers(list(region[0].peer_ids), protect_partitions=False)
-        engine.similar("apple", TEXT_ATTR, 1, strategy="strings")
+        result = engine.similar("apple", TEXT_ATTR, 1, strategy="strings")
         completeness = engine.last_cost().completeness
         assert region[0].index in completeness.dark_partitions
         assert completeness.fraction < 1.0
+        assert _match_set(result) <= _match_set(healthy)
+        assert not _matches_in(engine, result, completeness.dark_partitions)
+
+    def test_degraded_naive_keeps_matches_outside_dark_partitions(self):
+        """A dark partition loses its own matches, never another's.
+
+        On 192 peers the ``apple`` matches at d=2 live in two partitions
+        of a seven-partition region; darkening the first of them must
+        keep exactly the second one's.
+        """
+        healthy_engine = build_engine(n_peers=192)
+        healthy = healthy_engine.similar("apple", TEXT_ATTR, 2, strategy="strings")
+        holding = sorted(_matches_in(healthy_engine, healthy, None))
+        assert len(holding) >= 2, "scenario needs matches in two partitions"
+        engine = build_engine(n_peers=192)
+        engine.install_faults(FaultPlan.lossy(0.02, seed=5), mode="degraded")
+        dark = engine.network.partitions[holding[0]]
+        churn = ChurnController(engine.network, seed=0)
+        churn.fail_peers(list(dark.peer_ids), protect_partitions=False)
+        result = engine.similar("apple", TEXT_ATTR, 2, strategy="strings")
+        completeness = engine.last_cost().completeness
+        assert completeness.dark_partitions == (dark.index,)
+        assert _match_set(result) < _match_set(healthy)
+        assert _matches_in(engine, result, None) == set(holding[1:])
+
+    def test_short_contact_list_pairs_peers_with_their_partitions(self):
+        """A degraded contact list skips dark partitions; pairing holds.
+
+        The contacted list is then shorter than the region, so it no
+        longer aligns with ``partitions_under`` by position.
+        """
+        engine = build_engine(n_peers=192)
+        network = engine.network
+        prefix = network.codec.attr_prefix(TEXT_ATTR)
+        region = network.partitions_under(prefix)
+        assert len(region) >= 3, "scenario needs a multi-partition region"
+        reached = [p for index, p in enumerate(region) if index != 1]
+        peers = [network.peer(p.peer_ids[-1]) for p in reached]
+        pairs = _with_partition_indices(engine.ctx, peers, prefix)
+        assert [peer for peer, __ in pairs] == peers
+        assert [index for __, index in pairs] == [p.index for p in reached]
+
+
+def _match_set(result) -> set:
+    return {(m.oid, m.matched, m.distance) for m in result.matches}
+
+
+def _matches_in(engine, result, partitions) -> set:
+    """Indices of the partitions holding ``result``'s matched values.
+
+    With ``partitions`` given, only those among them.
+    """
+    network = engine.network
+    held = {
+        network.partition_for(
+            network.codec.attr_value_key(TEXT_ATTR, m.matched)
+        ).index
+        for m in result.matches
+    }
+    return held if partitions is None else held & set(partitions)
 
 
 class TestBitIdentity:

@@ -3,6 +3,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core.config import StoreConfig, TrieBalancing
 from repro.core.errors import OverlayError
@@ -183,3 +184,60 @@ class TestOracles:
         chooser = random.Random(11)
         drawn = [network.random_peer_id(chooser) for __ in range(25)]
         assert drawn == [reference.randrange(16) for __ in range(25)]
+
+
+def word_sample_keys(config):
+    """Index-entry keys of the shared word collection (the trie sample)."""
+    probe = PGridNetwork(1, config)
+    return sorted(
+        entry.key for entry in probe.entry_factory.entries_for_all(word_triples())
+    )
+
+
+class TestRoutingConstructionEquivalence:
+    """The fast constructions equal their retained scan references."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        n_peers=st.integers(min_value=1, max_value=80),
+        seed=st.integers(0, 10),
+        replication=st.integers(1, 3),
+        refs=st.integers(1, 3),
+    )
+    def test_span_sampling_matches_scan_reference(
+        self, n_peers, seed, replication, refs
+    ):
+        """Fast construction consumes the RNG draw-for-draw like the scan."""
+        config = StoreConfig(
+            seed=seed, replication=replication, refs_per_level=refs
+        )
+        sample = word_sample_keys(config)
+        fast = PGridNetwork(n_peers, config, sample_keys=sample)
+        reference = PGridNetwork(n_peers, config, sample_keys=sample)
+        reference.rng = random.Random(config.seed)
+        reference._build_routing_tables_scan()
+        for peer_fast, peer_ref in zip(fast.peers, reference.peers):
+            assert peer_fast.routing_table == peer_ref.routing_table
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        n_peers=st.integers(min_value=1, max_value=60),
+        seed=st.integers(0, 5),
+        uniform=st.booleans(),
+        prefixes=st.lists(
+            st.text(alphabet="01", min_size=0, max_size=12), max_size=8
+        ),
+    )
+    def test_partition_span_matches_scan(self, n_peers, seed, uniform, prefixes):
+        """The bisected span and the startswith scan agree on any prefix."""
+        balancing = TrieBalancing.UNIFORM if uniform else TrieBalancing.DATA_AWARE
+        config = StoreConfig(seed=seed, balancing=balancing)
+        network = PGridNetwork(
+            n_peers, config, sample_keys=word_sample_keys(config)
+        )
+        probes = list(prefixes) + ["", "0", "1"] + network._paths[:3]
+        for prefix in probes:
+            assert (
+                network._partition_range(prefix)
+                == network._partition_range_scan(prefix)
+            ), prefix

@@ -3,7 +3,7 @@
 The service holds one engine — and therefore one
 :class:`~repro.similarity.verify.VerifierPool` — for its whole lifetime,
 so unbounded per-``(query, d)`` memo growth would be a slow leak.  These
-tests pin the eviction contract (LRU beyond ``verifier_pool_limit``,
+tests pin the eviction contract (LRU beyond ``max_verifiers``,
 hit/evict counters, recomputation instead of wrong answers) and the
 ``/stats`` / per-response surfacing of kernel identity and verifier
 counters.
@@ -44,8 +44,9 @@ class TestPoolBounds:
             service.close()
 
     def test_eviction_and_counters_under_query_churn(self):
-        service = make_service(self.built, verifier_pool_limit=3)
+        service = make_service(self.built)
         pool = service.engine.verifier_pool
+        pool.max_verifiers = 3
         for word in WORDS[:8]:
             response = similar_query(service, word)
             assert response.status == 200
@@ -56,7 +57,8 @@ class TestPoolBounds:
         assert pool.counters.computed > 0
 
     def test_evicted_query_recomputes_same_answer(self):
-        service = make_service(self.built, verifier_pool_limit=1)
+        service = make_service(self.built)
+        service.engine.verifier_pool.max_verifiers = 1
         first = similar_query(service, "adaptor")
         # Push the 'adaptor' verifier out of the pool, then re-ask.
         similar_query(service, "overlay")
@@ -65,7 +67,8 @@ class TestPoolBounds:
         assert again.payload["matches"] == first.payload["matches"]
 
     def test_stats_expose_verifier_section(self):
-        service = make_service(self.built, verifier_pool_limit=4)
+        service = make_service(self.built)
+        service.engine.verifier_pool.max_verifiers = 4
         similar_query(service, "adaptor")
         response = run(service.handle(Request("GET", "/stats")))
         assert response.status == 200

@@ -64,6 +64,15 @@ def check_fig1_v4(data: dict) -> None:
     _need(scale, "full", bool, "scale")
     _need(scale, "adaptive", bool, "scale")
     _need(scale, "naive_sample_rate", NUMBER, "scale")
+    # Retired fields stay in the schema (it is additive-only) but may
+    # never carry a value: the thread fan-out and the sampled-broadcast
+    # estimator are gone, so a non-zero value is a corrupt baseline.
+    for retired in ("fanout", "naive_sample_rate"):
+        if scale[retired] != 0:
+            raise SchemaProblem(
+                f"scale.{retired}: retired field must be 0, "
+                f"got {scale[retired]!r}"
+            )
     peer_counts = _need(scale, "peer_counts", list, "scale")
     if not all(isinstance(n, int) for n in peer_counts):
         raise SchemaProblem("scale.peer_counts: expected a list of ints")
